@@ -8,8 +8,8 @@
 // re-derive scheduling points / deadline sets per call, invert supplies by
 // bisection and deep-copy the system per sensitivity probe; the plain
 // variants run the batched analysis engine (AnalysisContext caches +
-// closed-form inverses + parallel_for sweeps). Keep both: the ratio is the
-// number tools/bench_report tracks across PRs.
+// closed-form inverses). Keep both: the ratio is the number
+// tools/bench_report tracks across PRs.
 #include <benchmark/benchmark.h>
 
 #include "core/analysis_engine.hpp"
@@ -273,35 +273,6 @@ void BM_SensitivityReport(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SensitivityReport);
-
-// --- region sweep: serial loop vs parallel_for runner ---------------------
-// On a single-core host both paths degenerate to the same serial loop; the
-// pair exists so multi-core CI shows the sweep-runner scaling.
-
-void BM_SampleRegionSerial(benchmark::State& state) {
-  const analysis::BatchEngine engine(paper_sys(), hier::Scheduler::EDF);
-  core::SearchOptions opts;
-  opts.grid_step = 1e-2;
-  for (auto _ : state) {
-    std::vector<core::RegionSample> out;
-    for (double p = opts.p_min; p <= 6.0; p += opts.grid_step) {
-      out.push_back({p, engine.feasibility_margin(p)});
-    }
-    benchmark::DoNotOptimize(out);
-  }
-}
-BENCHMARK(BM_SampleRegionSerial);
-
-void BM_SampleRegion(benchmark::State& state) {
-  const analysis::BatchEngine engine(paper_sys(), hier::Scheduler::EDF);
-  core::SearchOptions opts;
-  opts.grid_step = 1e-2;
-  opts.p_max = 6.0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(engine.sample_region(opts));
-  }
-}
-BENCHMARK(BM_SampleRegion);
 
 // --- end-to-end solves and simulation (unchanged shapes) ------------------
 

@@ -151,16 +151,6 @@ class Pool {
   std::vector<std::thread> workers_;
 };
 
-void run_loop(std::size_t n,
-              const std::function<void(std::size_t, std::size_t)>& fn) {
-  if (n == 0) return;
-  if (thread_count() == 1 || n < kSerialCutoff || t_inside_pool) {
-    fn(0, n);
-    return;
-  }
-  Pool::instance().run(n, fn);
-}
-
 }  // namespace
 
 std::size_t thread_count() noexcept {
@@ -176,15 +166,13 @@ std::size_t default_stream_window() noexcept {
 }
 
 void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn) {
-  run_loop(n, [&fn](std::size_t begin, std::size_t end) {
+  if (thread_count() == 1 || n < kSerialCutoff || t_inside_pool) {
+    for (std::size_t i = 0; i < n; ++i) fn(i);
+    return;
+  }
+  Pool::instance().run(n, [&fn](std::size_t begin, std::size_t end) {
     for (std::size_t i = begin; i < end; ++i) fn(i);
   });
-}
-
-void parallel_for_chunked(
-    std::size_t n,
-    const std::function<void(std::size_t, std::size_t)>& fn) {
-  run_loop(n, fn);
 }
 
 }  // namespace flexrt::par

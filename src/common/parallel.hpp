@@ -54,15 +54,12 @@ std::size_t thread_count() noexcept;
 ///    small to amortize the handoff run serially inline -- callers never
 ///    need to special-case either.
 ///
-/// This is the sweep runner behind sample_region, max_feasible_period,
-/// sensitivity_report and the bench sweeps.
+/// This is the fleet and trial runner: one iteration per fleet entry
+/// (svc::AnalysisService), study trial (core::run_study) or journaled entry
+/// (svc::run_journaled, through ordered_stream). The analysis of one system
+/// (analysis::BatchEngine) runs serially inside an iteration, so
+/// parallelism has exactly one level.
 void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
-
-/// Chunked variant: fn(begin, end) receives half-open index ranges. Useful
-/// when per-iteration dispatch would dominate (very cheap bodies).
-void parallel_for_chunked(
-    std::size_t n,
-    const std::function<void(std::size_t, std::size_t)>& fn);
 
 /// Reorder window for ordered_stream when the caller passes 0: wide enough
 /// to keep every worker busy, small enough that peak buffering stays a

@@ -2,12 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <utility>
 
 #include "common/error.hpp"
 #include "common/math_util.hpp"
-#include "common/parallel.hpp"
 #include "hier/min_quantum.hpp"
 #include "rt/priority.hpp"
 
@@ -118,47 +116,29 @@ std::vector<core::RegionSample> BatchEngine::sample_region(
   const core::SearchOptions opts = resolve(opts_in);
   const auto n = static_cast<std::size_t>(
       std::ceil((opts.p_max - opts.p_min) / opts.grid_step));
-  std::vector<core::RegionSample> out(n + 1);
-  par::parallel_for_chunked(n + 1, [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) {
-      const double p = std::min(
-          opts.p_max, opts.p_min + static_cast<double>(i) * opts.grid_step);
-      out[i] = {p, feasibility_margin(p, opts.use_exact_supply)};
-    }
-  });
+  std::vector<core::RegionSample> out;
+  out.reserve(n + 1);
+  for (std::size_t i = 0; i <= n; ++i) {
+    const double p = std::min(
+        opts.p_max, opts.p_min + static_cast<double>(i) * opts.grid_step);
+    out.push_back({p, feasibility_margin(p, opts.use_exact_supply)});
+  }
   return out;
 }
 
 double BatchEngine::max_feasible_period(double o_tot,
                                         const core::SearchOptions& opts_in) const {
   const core::SearchOptions opts = resolve(opts_in);
-  // Same downward grid scan as the serial implementation -- the first
-  // feasible candidate bounds the answer from below, its predecessor from
-  // above -- but candidates are evaluated a block at a time in parallel.
-  std::vector<double> candidates;
-  for (double p = opts.p_max; p >= opts.p_min; p -= opts.grid_step) {
-    candidates.push_back(p);
-  }
+  // Downward grid scan: the first feasible candidate bounds the answer from
+  // below, its predecessor from above.
   double feasible = -1.0;
   double infeasible_above = opts.p_max;
-  const std::size_t block = std::max<std::size_t>(16, 4 * par::thread_count());
-  std::vector<double> margins;
-  for (std::size_t b = 0; b < candidates.size() && feasible < 0.0; b += block) {
-    const std::size_t end = std::min(candidates.size(), b + block);
-    margins.assign(end - b, 0.0);
-    par::parallel_for_chunked(end - b, [&](std::size_t cb, std::size_t ce) {
-      for (std::size_t i = cb; i < ce; ++i) {
-        margins[i] =
-            feasibility_margin(candidates[b + i], opts.use_exact_supply);
-      }
-    });
-    for (std::size_t i = 0; i < end - b; ++i) {
-      if (margins[i] >= o_tot) {
-        feasible = candidates[b + i];
-        break;
-      }
-      infeasible_above = candidates[b + i];
+  for (double p = opts.p_max; p >= opts.p_min; p -= opts.grid_step) {
+    if (feasibility_margin(p, opts.use_exact_supply) >= o_tot) {
+      feasible = p;
+      break;
     }
+    infeasible_above = p;
   }
   if (feasible < 0.0) {
     throw InfeasibleError(
@@ -179,14 +159,37 @@ double BatchEngine::max_feasible_period(double o_tot,
 
 namespace {
 
-/// argmax over `values` with the serial scan's strict-> semantics: the
-/// earliest candidate wins ties.
-std::size_t argmax(const std::vector<double>& values) {
-  std::size_t best = 0;
-  for (std::size_t i = 1; i < values.size(); ++i) {
-    if (values[i] > values[best]) best = i;
+struct GridMax {
+  double p;
+  double value;
+};
+
+/// Folds f over the grid lo, lo + step, ... <= hi into `best` with strict >,
+/// so the earliest candidate wins ties.
+template <typename F>
+GridMax scan_max(GridMax best, double lo, double hi, double step, const F& f) {
+  for (double p = lo; p <= hi; p += step) {
+    const double v = f(p);
+    if (v > best.value) best = {p, v};
   }
   return best;
+}
+
+/// argmax of f over the coarse grid p_min, p_min + grid_step, ... <= p_max.
+template <typename F>
+GridMax coarse_max(const core::SearchOptions& opts, const F& f) {
+  return scan_max({opts.p_min, f(opts.p_min)}, opts.p_min + opts.grid_step,
+                  opts.p_max, opts.grid_step, f);
+}
+
+/// Refines a coarse argmax on a fine grid within two coarse steps of it.
+template <typename F>
+GridMax refine_max(GridMax coarse, const core::SearchOptions& opts,
+                   const F& f) {
+  const double lo = std::max(opts.p_min, coarse.p - 2.0 * opts.grid_step);
+  const double hi = std::min(opts.p_max, coarse.p + 2.0 * opts.grid_step);
+  const double step = std::max(opts.tolerance, opts.grid_step * 1e-3);
+  return scan_max(coarse, lo, hi, step, f);
 }
 
 }  // namespace
@@ -194,78 +197,27 @@ std::size_t argmax(const std::vector<double>& values) {
 core::OverheadLimit BatchEngine::max_admissible_overhead(
     const core::SearchOptions& opts_in) const {
   const core::SearchOptions opts = resolve(opts_in);
-  const auto eval = [&](const std::vector<double>& ps) {
-    std::vector<double> out(ps.size(), 0.0);
-    par::parallel_for_chunked(ps.size(), [&](std::size_t b, std::size_t e) {
-      for (std::size_t i = b; i < e; ++i) {
-        out[i] = feasibility_margin(ps[i], opts.use_exact_supply);
-      }
-    });
-    return out;
+  const auto margin_at = [&](double p) {
+    return feasibility_margin(p, opts.use_exact_supply);
   };
-  std::vector<double> coarse;
-  for (double p = opts.p_min; p <= opts.p_max; p += opts.grid_step) {
-    coarse.push_back(p);
-  }
-  std::vector<double> margins = eval(coarse);
-  std::size_t best = argmax(margins);
-  double best_p = coarse[best];
-  double best_m = margins[best];
-
-  const double lo = std::max(opts.p_min, best_p - 2.0 * opts.grid_step);
-  const double hi = std::min(opts.p_max, best_p + 2.0 * opts.grid_step);
-  const double step = std::max(opts.tolerance, opts.grid_step * 1e-3);
-  std::vector<double> fine;
-  for (double p = lo; p <= hi; p += step) fine.push_back(p);
-  margins = eval(fine);
-  for (std::size_t i = 0; i < fine.size(); ++i) {
-    if (margins[i] > best_m) {
-      best_m = margins[i];
-      best_p = fine[i];
-    }
-  }
-  return {best_p, best_m};
+  const GridMax best = refine_max(coarse_max(opts, margin_at), opts, margin_at);
+  return {best.p, best.value};
 }
 
 core::SlackOptimum BatchEngine::max_slack_period(
     double o_tot, const core::SearchOptions& opts_in) const {
   const core::SearchOptions opts = resolve(opts_in);
-  const auto eval = [&](const std::vector<double>& ps) {
-    std::vector<double> out(ps.size(), 0.0);
-    par::parallel_for_chunked(ps.size(), [&](std::size_t b, std::size_t e) {
-      for (std::size_t i = b; i < e; ++i) {
-        out[i] =
-            (feasibility_margin(ps[i], opts.use_exact_supply) - o_tot) / ps[i];
-      }
-    });
-    return out;
+  const auto slack_at = [&](double p) {
+    return (feasibility_margin(p, opts.use_exact_supply) - o_tot) / p;
   };
-  std::vector<double> coarse;
-  for (double p = opts.p_min; p <= opts.p_max; p += opts.grid_step) {
-    coarse.push_back(p);
-  }
-  std::vector<double> slack = eval(coarse);
-  std::size_t best_i = argmax(slack);
-  double best_p = coarse[best_i];
-  double best = slack[best_i];
-  if (best < 0.0) {
+  const GridMax coarse = coarse_max(opts, slack_at);
+  if (coarse.value < 0.0) {
     throw InfeasibleError(
         "no feasible period in the search range: slack is negative "
         "everywhere");
   }
-  const double lo = std::max(opts.p_min, best_p - 2.0 * opts.grid_step);
-  const double hi = std::min(opts.p_max, best_p + 2.0 * opts.grid_step);
-  const double step = std::max(opts.tolerance, opts.grid_step * 1e-3);
-  std::vector<double> fine;
-  for (double p = lo; p <= hi; p += step) fine.push_back(p);
-  slack = eval(fine);
-  for (std::size_t i = 0; i < fine.size(); ++i) {
-    if (slack[i] > best) {
-      best = slack[i];
-      best_p = fine[i];
-    }
-  }
-  return {best_p, best * best_p, best};
+  const GridMax best = refine_max(coarse, opts, slack_at);
+  return {best.p, best.value * best.p, best.value};
 }
 
 bool BatchEngine::verify(const core::ModeSchedule& schedule,
@@ -415,13 +367,13 @@ std::vector<core::TaskMargin> BatchEngine::sensitivity_report(
   // row: verify once, not once per task.
   const bool base_feasible = verify(schedule);
   std::vector<core::TaskMargin> out = task_rows_;
-  par::parallel_for(out.size(), [&](std::size_t i) {
+  for (core::TaskMargin& row : out) {
     // An empty name would silently select the global (all-tasks) margin;
     // reject it like the one-task front always has.
-    FLEXRT_REQUIRE(!out[i].name.empty(), "task name must be non-empty");
-    out[i].scale_margin =
-        margin_impl(schedule, out[i].name, lambda_max, 1e-4, base_feasible);
-  });
+    FLEXRT_REQUIRE(!row.name.empty(), "task name must be non-empty");
+    row.scale_margin =
+        margin_impl(schedule, row.name, lambda_max, 1e-4, base_feasible);
+  }
   return out;
 }
 

@@ -373,20 +373,9 @@ std::shared_ptr<const analysis::BatchEngine> AnalysisService::engine_ptr(
     while (shard.order.size() > kEngineShardCapacity) {
       shard.engines.erase(shard.order.front());
       shard.order.pop_front();
-      engine_evictions_.fetch_add(1, std::memory_order_relaxed);
     }
   }
   return it->second;
-}
-
-AnalysisService::EngineCacheStats AnalysisService::engine_cache_stats() const {
-  EngineCacheStats out;
-  out.evictions = engine_evictions_.load(std::memory_order_relaxed);
-  for (EngineShard& shard : engine_shards_) {
-    sys::MutexLock lock(shard.mu);
-    out.entries += shard.engines.size();
-  }
-  return out;
 }
 
 template <typename Result, typename Body>
@@ -429,13 +418,17 @@ Result AnalysisService::memoized(std::size_t i, const Request& req,
   const bool use_memo = e.system.has_value() && memo.enabled() &&
                         !probe_hook_ && !req.accuracy.deadline.active();
   rt::Hash128 key{};
+  rt::Hash128 raw{};
   if (use_memo) {
     rt::HashStream h;
     h.u64(e.canon.hash.hi).u64(e.canon.hash.lo);
     hash_request(h, e.canon, req);
     key = h.digest();
+    rt::HashStream raw_h;
+    hash_request(raw_h, rt::CanonicalSystem{}, req);
+    raw = raw_h.digest();
     const par::StopWatch clock;
-    if (std::optional<MemoValue> hit = memo.lookup(key)) {
+    if (std::optional<MemoValue> hit = memo.lookup(key, e.canon.scale, raw)) {
       if (Result* payload = std::get_if<Result>(&hit->payload)) {
         Result out = std::move(*payload);
         out.system = i;
@@ -464,6 +457,7 @@ Result AnalysisService::memoized(std::size_t i, const Request& req,
     stored.trial = kNoTrial;
     stored.prov.wall_ms = 0.0;  // transport, not answer
     v.scale = e.canon.scale;
+    v.raw = raw;
     v.payload = std::move(stored);
     memo.insert(key, std::move(v));
   }

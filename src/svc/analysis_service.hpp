@@ -1,9 +1,7 @@
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstddef>
-#include <cstdint>
 #include <deque>
 #include <functional>
 #include <map>
@@ -486,13 +484,6 @@ class AnalysisService {
     return entries_.at(i).canon;
   }
 
-  /// Occupancy and eviction counters of the bounded engine cache.
-  struct EngineCacheStats {
-    std::size_t entries = 0;
-    std::uint64_t evictions = 0;
-  };
-  EngineCacheStats engine_cache_stats() const;
-
  private:
   struct Entry {
     std::string name;
@@ -556,7 +547,6 @@ class AnalysisService {
   std::vector<Entry> entries_;
   ProbeHook probe_hook_;
   mutable std::array<EngineShard, kEngineShards> engine_shards_;
-  mutable std::atomic<std::uint64_t> engine_evictions_{0};
 };
 
 /// One-entry service around a single system: the helper behind the core::

@@ -42,10 +42,24 @@ std::size_t memo_payload_bytes(const MemoPayload& payload) {
 }
 
 std::optional<MemoValue> MemoCache::lookup(const rt::Hash128& key) {
+  return lookup_impl(key, 0.0, nullptr);
+}
+
+std::optional<MemoValue> MemoCache::lookup(const rt::Hash128& key,
+                                           double scale,
+                                           const rt::Hash128& raw) {
+  return lookup_impl(key, scale, &raw);
+}
+
+std::optional<MemoValue> MemoCache::lookup_impl(const rt::Hash128& key,
+                                                double scale,
+                                                const rt::Hash128* raw) {
   Shard& s = shard_for(key);
   sys::MutexLock lock(s.mu);
   const auto it = s.map.find(key);
-  if (it == s.map.end()) {
+  if (it == s.map.end() ||
+      (raw && it->second->value.scale == scale &&
+       it->second->value.raw != *raw)) {
     ++s.misses;
     return std::nullopt;
   }

@@ -28,6 +28,11 @@ struct MemoValue {
   /// from a system with a different scale multiplies the payload's
   /// time-dimensioned fields by the scale ratio before returning it.
   double scale = 1.0;
+  /// Producer's request hashed bit for bit (hash_request against a default
+  /// rt::CanonicalSystem, which hashes every time raw). The key snaps times
+  /// to grid rationals, so P = 0.8 and P = 0.8000000000000002 share a key;
+  /// a same-scale hit replays only when the asker's raw digest matches.
+  rt::Hash128 raw{};
 };
 
 /// Aggregated cache counters -- what the daemon `status` command renders
@@ -81,6 +86,12 @@ class MemoCache {
   /// cache can evict concurrently) and refreshes its LRU position.
   std::optional<MemoValue> lookup(const rt::Hash128& key);
 
+  /// As lookup(key), for an asker at canonical `scale` whose request has
+  /// raw digest `raw`: a value stored at the same scale under a different
+  /// raw digest is not the asker's answer and counts as a miss.
+  std::optional<MemoValue> lookup(const rt::Hash128& key, double scale,
+                                  const rt::Hash128& raw);
+
   /// First writer wins: a key already present keeps its stored value, so
   /// concurrent producers of the same canonical answer cannot make a
   /// later reader observe a different (if bit-identical in theory)
@@ -122,6 +133,9 @@ class MemoCache {
     std::uint64_t insertions GUARDED_BY(mu) = 0;
     std::uint64_t evictions GUARDED_BY(mu) = 0;
   };
+
+  std::optional<MemoValue> lookup_impl(const rt::Hash128& key, double scale,
+                                       const rt::Hash128* raw);
 
   Shard& shard_for(const rt::Hash128& key) noexcept {
     return shards_[key.hi % kShards];

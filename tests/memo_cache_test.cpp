@@ -233,6 +233,34 @@ TEST_F(MemoCacheTest, DifferentRequestsDoNotAlias) {
   (void)fp;
 }
 
+TEST_F(MemoCacheTest, SameScaleHitReplaysOnlyABitIdenticalRequest) {
+  // 0.2 + 0.1 + ... lands one ulp above 0.8: both periods snap to the same
+  // grid rational, so they share a memo key, but they are different
+  // requests and the second must not get the first one's answer.
+  double accumulated = 0.2;
+  for (int k = 0; k < 6; ++k) accumulated += 0.1;
+  ASSERT_NE(accumulated, 0.8);
+  AnalysisService service;
+  service.add_system(core::paper_example(), "paper");
+  const MinQuantumRequest near{Scheduler::EDF, accumulated, false, {}};
+  const MinQuantumRequest exact{Scheduler::EDF, 0.8, false, {}};
+
+  global_memo().set_enabled(false);
+  const MinQuantumResult cold = service.min_quantum_one(0, exact);
+  global_memo().set_enabled(true);
+
+  (void)service.min_quantum_one(0, near);
+  const MinQuantumResult warm = service.min_quantum_one(0, exact);
+  EXPECT_FALSE(warm.prov.cache_hit);
+  EXPECT_EQ(warm.mode_quantum, cold.mode_quantum);
+  EXPECT_EQ(warm.margin, cold.margin);
+  EXPECT_EQ(min_quantum_row(warm, Scheduler::EDF, 0.8, false).str(),
+            min_quantum_row(cold, Scheduler::EDF, 0.8, false).str());
+  const MemoStats st = global_memo().stats();
+  EXPECT_EQ(st.hits, 0u);
+  EXPECT_EQ(st.misses, 2u);
+}
+
 // --- configuration: kill switch and byte budget -------------------------
 
 TEST_F(MemoCacheTest, DisabledMemoNeverTouchesTheCache) {
