@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <istream>
+#include <iterator>
 #include <ostream>
 #include <sstream>
 #include <string_view>
@@ -17,13 +18,6 @@
 #include "svc/study_report.hpp"
 
 namespace flexrt::net::proto {
-
-bool parse_triple(const std::string& spec, double& a, double& b, double& c) {
-  std::istringstream in(spec);
-  char c1 = 0, c2 = 0;
-  return static_cast<bool>(in >> a >> c1 >> b >> c2 >> c) && c1 == ',' &&
-         c2 == ',';
-}
 
 double parse_num(const char* flag, const std::string& v) {
   try {
@@ -45,6 +39,35 @@ std::size_t parse_size(const char* flag, const std::string& v) {
   throw ModelError(std::string(flag) + ": bad count '" + v + "'");
 }
 
+const char* flag_value(int argc, char** argv, int& i) {
+  if (i + 1 >= argc) throw ModelError(std::string(argv[i]) + ": missing value");
+  return argv[++i];
+}
+
+namespace {
+
+/// Re-exposes tokenized arguments in the argc/argv shape the flag parsers
+/// (parse_common_flag, core::parse_study_flag, hooks) consume.
+struct ArgVec {
+  explicit ArgVec(const std::vector<std::string>& args) : owned(args) {
+    for (std::string& s : owned) ptrs.push_back(s.data());
+  }
+  int argc() const { return static_cast<int>(ptrs.size()); }
+  char** argv() { return ptrs.data(); }
+  std::vector<std::string> owned;
+  std::vector<char*> ptrs;
+};
+
+/// "a,b,c" -> three doubles; returns false on malformed input.
+bool parse_triple(const std::string& spec, double& a, double& b, double& c) {
+  std::istringstream in(spec);
+  char c1 = 0, c2 = 0;
+  return static_cast<bool>(in >> a >> c1 >> b >> c2 >> c) && c1 == ',' &&
+         c2 == ',';
+}
+
+/// Comma-separated strict numbers ("0,0.01,0.1"); every token must parse
+/// (parse_num), so a malformed list throws naming the flag.
 std::vector<double> parse_num_list(const char* flag, const std::string& spec) {
   std::vector<double> out;
   std::size_t start = 0;
@@ -57,104 +80,311 @@ std::vector<double> parse_num_list(const char* flag, const std::string& spec) {
   return out;
 }
 
-int parse_common_flag(CommonOpts& o, int argc, char** argv, int& i) {
-  const std::string a = argv[i];
-  const auto next = [&]() -> const char* {
-    return i + 1 < argc ? argv[++i] : nullptr;
-  };
+/// Consumes one shared flag at argv[i], advancing i past its value;
+/// returns false when argv[i] is not a shared flag and throws ModelError
+/// naming the flag on a missing or malformed value.
+bool parse_common_flag(CommonOpts& o, int argc, char** argv, int& i) {
+  const std::string_view a = argv[i];
+  using Switch = std::pair<const char*, bool*>;
+  for (const auto& [flag, on] :
+       {Switch{"--jsonl", &o.jsonl}, Switch{"--csv", &o.csv},
+        Switch{"--stream", &o.stream}, Switch{"--no-wall", &o.no_wall},
+        Switch{"--resume", &o.resume}, Switch{"--fsync", &o.fsync}}) {
+    if (a == flag) {
+      *on = true;
+      return true;
+    }
+  }
+  using Count = std::pair<const char*, std::size_t*>;
+  for (const auto& [flag, field] :
+       {Count{"--budget", &o.budget}, Count{"--budget-cap", &o.budget_cap},
+        Count{"--retries", &o.retries}}) {
+    if (a == flag) {
+      *field = parse_size(flag, flag_value(argc, argv, i));
+      return true;
+    }
+  }
+  using Num = std::pair<const char*, double*>;
+  for (const auto& [flag, field] : {Num{"--adaptive", &o.adaptive_tol},
+                                    Num{"--deadline", &o.deadline_ms}}) {
+    if (a == flag) {
+      *field = parse_num(flag, flag_value(argc, argv, i));
+      return true;
+    }
+  }
+  if (a != "--alg" && a != "--goal" && a != "--overhead" && a != "--output") {
+    return false;
+  }
+  const std::string v = flag_value(argc, argv, i);
+  bool ok = !v.empty();
   if (a == "--alg") {
-    const char* v = next();
-    if (!v) return 2;
-    if (std::strcmp(v, "edf") == 0) {
-      o.alg = hier::Scheduler::EDF;
-    } else if (std::strcmp(v, "rm") == 0) {
-      o.alg = hier::Scheduler::FP;
-    } else {
-      return 2;
-    }
-    return 0;
-  }
-  if (a == "--goal") {
-    const char* v = next();
-    if (!v) return 2;
-    if (std::strcmp(v, "min-overhead") == 0) {
-      o.goal = core::DesignGoal::MinOverheadBandwidth;
-    } else if (std::strcmp(v, "max-slack") == 0) {
-      o.goal = core::DesignGoal::MaxSlackBandwidth;
-    } else {
-      return 2;
-    }
-    return 0;
-  }
-  if (a == "--overhead") {
-    const char* v = next();
-    if (!v ||
-        !parse_triple(v, o.overheads.ft, o.overheads.fs, o.overheads.nf)) {
-      return 2;
-    }
-    return 0;
-  }
-  if (a == "--adaptive") {
-    const char* v = next();
-    if (!v) return 2;
-    o.adaptive_tol = parse_num("--adaptive", v);
-    return 0;
-  }
-  if (a == "--budget") {
-    const char* v = next();
-    if (!v) return 2;
-    o.budget = parse_size("--budget", v);
-    return 0;
-  }
-  if (a == "--budget-cap") {
-    const char* v = next();
-    if (!v) return 2;
-    o.budget_cap = parse_size("--budget-cap", v);
-    return 0;
-  }
-  if (a == "--deadline") {
-    const char* v = next();
-    if (!v) return 2;
-    o.deadline_ms = parse_num("--deadline", v);
-    return 0;
-  }
-  if (a == "--jsonl") {
-    o.jsonl = true;
-    return 0;
-  }
-  if (a == "--csv") {
-    o.csv = true;
-    return 0;
-  }
-  if (a == "--stream") {
-    o.stream = true;
-    return 0;
-  }
-  if (a == "--no-wall") {
-    o.no_wall = true;
-    return 0;
-  }
-  if (a == "--output") {
-    const char* v = next();
-    if (!v || !*v) return 2;
+    ok = v == "edf" || v == "rm";
+    o.alg = v == "rm" ? hier::Scheduler::FP : hier::Scheduler::EDF;
+  } else if (a == "--goal") {
+    ok = v == "min-overhead" || v == "max-slack";
+    o.goal = v == "max-slack" ? core::DesignGoal::MaxSlackBandwidth
+                              : core::DesignGoal::MinOverheadBandwidth;
+  } else if (a == "--overhead") {
+    ok = parse_triple(v, o.overheads.ft, o.overheads.fs, o.overheads.nf);
+  } else {
     o.output = v;
-    return 0;
   }
-  if (a == "--resume") {
-    o.resume = true;
-    return 0;
+  if (!ok) throw ModelError(std::string(a) + ": bad value '" + v + "'");
+  return true;
+}
+
+/// The one flag loop under every command parser. Per token, in order: the
+/// study flags (when the front lends `gen`), the shared flags, the
+/// command's own flags (`own`), the front end's hook; then a bare token is
+/// a task file (when the front lends `files`). Anything else throws.
+template <typename Own>
+CommonOpts parse_flags(const std::vector<std::string>& args,
+                       const Front& front, CommonOpts o, const Own& own) {
+  ArgVec av(args);
+  const int argc = av.argc();
+  char** argv = av.argv();
+  for (int i = 0; i < argc; ++i) {
+    const std::string a = argv[i];
+    const int first = i;
+    if (front.gen && core::parse_study_flag(*front.gen, argc, argv, i)) {
+      continue;
+    }
+    if (parse_common_flag(o, argc, argv, i) || own(argc, argv, i)) {
+      if (front.wire) {
+        front.wire->insert(front.wire->end(), args.begin() + first,
+                           args.begin() + i + 1);
+      }
+      continue;
+    }
+    if (front.hook && front.hook(argc, argv, i)) continue;
+    if (!a.empty() && a[0] != '-') {
+      if (!front.files) {
+        throw ModelError("unexpected argument '" + a +
+                         "' (systems are added with `add`, not file paths)");
+      }
+      front.files->push_back(a);
+      continue;
+    }
+    throw ModelError("unknown flag '" + a + "'");
   }
-  if (a == "--retries") {
-    const char* v = next();
-    if (!v) return 2;
-    o.retries = parse_size("--retries", v);
-    return 0;
+  return o;
+}
+
+const auto kNoOwnFlags = [](int, char**, int&) { return false; };
+
+/// The paper's total overhead O_tot = 0.05 split evenly over the three
+/// slots: the overhead default of studies and fault-sweeps.
+CommonOpts paper_overheads() {
+  CommonOpts o;
+  o.overheads = {0.05 / 3, 0.05 / 3, 0.05 / 3};
+  return o;
+}
+
+/// One-line sanitizer for `error` status lines: the message must not break
+/// the line-oriented framing.
+std::string one_line(std::string msg) {
+  std::replace(msg.begin(), msg.end(), '\n', ' ');
+  std::replace(msg.begin(), msg.end(), '\r', ' ');
+  return msg;
+}
+
+}  // namespace
+
+core::SearchOptions generated_fleet_search() {
+  core::SearchOptions search;
+  search.grid_step = 5e-3;
+  search.p_max = 10.0;
+  return search;
+}
+
+Command<svc::SolveRequest> parse_solve(const std::vector<std::string>& args,
+                                       const Front& front) {
+  Command<svc::SolveRequest> cmd;
+  cmd.opts = parse_flags(args, front, {}, kNoOwnFlags);
+  const CommonOpts& o = cmd.opts;
+  cmd.req = {o.alg, o.overheads, o.goal, {}, o.accuracy()};
+  return cmd;
+}
+
+Command<svc::SolveRequest> parse_study(const std::vector<std::string>& args,
+                                       const Front& front) {
+  Command<svc::SolveRequest> cmd;
+  cmd.opts = parse_flags(args, front, paper_overheads(), kNoOwnFlags);
+  const CommonOpts& o = cmd.opts;
+  cmd.req = {o.alg, o.overheads, o.goal, generated_fleet_search(),
+             o.accuracy()};
+  return cmd;
+}
+
+Command<svc::MinQuantumRequest> parse_minq(const std::vector<std::string>& args,
+                                           const Front& front) {
+  Command<svc::MinQuantumRequest> cmd;
+  svc::MinQuantumRequest& req = cmd.req;
+  req.period = 0.0;  // required: no default period
+  cmd.opts = parse_flags(args, front, {}, [&](int argc, char** argv, int& i) {
+    const std::string_view a = argv[i];
+    if (a == "--period") {
+      req.period = parse_num("--period", flag_value(argc, argv, i));
+    } else if (a == "--exact-supply") {
+      req.use_exact_supply = true;
+    } else {
+      return false;
+    }
+    return true;
+  });
+  if (req.period <= 0.0) throw ModelError("minq needs --period P > 0");
+  req.alg = cmd.opts.alg;
+  req.accuracy = cmd.opts.accuracy();
+  return cmd;
+}
+
+Command<svc::RegionSweepRequest> parse_sweep(
+    const std::vector<std::string>& args, const Front& front) {
+  Command<svc::RegionSweepRequest> cmd;
+  core::SearchOptions& search = cmd.req.search;
+  search.p_min = 0.05;
+  search.p_max = 3.5;
+  search.grid_step = 0.05;
+  cmd.opts = parse_flags(args, front, {}, [&](int argc, char** argv, int& i) {
+    for (const auto& [flag, field] : {std::pair{"--p-min", &search.p_min},
+                                      std::pair{"--p-max", &search.p_max},
+                                      std::pair{"--step", &search.grid_step}}) {
+      if (std::strcmp(argv[i], flag) == 0) {
+        *field = parse_num(flag, flag_value(argc, argv, i));
+        return true;
+      }
+    }
+    return false;
+  });
+  cmd.req.alg = cmd.opts.alg;
+  cmd.req.accuracy = cmd.opts.accuracy();
+  return cmd;
+}
+
+Command<svc::VerifyRequest> parse_verify(const std::vector<std::string>& args,
+                                         const Front& front) {
+  Command<svc::VerifyRequest> cmd;
+  double period = 0.0;
+  double q_ft = 0.0, q_fs = 0.0, q_nf = 0.0;
+  bool have_quanta = false;
+  cmd.opts = parse_flags(args, front, {}, [&](int argc, char** argv, int& i) {
+    const std::string_view a = argv[i];
+    if (a == "--period") {
+      period = parse_num("--period", flag_value(argc, argv, i));
+    } else if (a == "--quanta") {
+      if (!parse_triple(flag_value(argc, argv, i), q_ft, q_fs, q_nf)) {
+        throw ModelError("--quanta: expected Q_FT,Q_FS,Q_NF");
+      }
+      have_quanta = true;
+    } else if (a == "--exact-supply") {
+      cmd.req.use_exact_supply = true;
+    } else {
+      return false;
+    }
+    return true;
+  });
+  if (period <= 0.0 || !have_quanta) {
+    throw ModelError("verify needs --period P > 0 and --quanta Q_FT,Q_FS,Q_NF");
   }
-  if (a == "--fsync") {
-    o.fsync = true;
-    return 0;
+  const CommonOpts& o = cmd.opts;
+  core::ModeSchedule& schedule = cmd.req.schedule;
+  schedule.period = period;
+  schedule.ft = {q_ft, o.overheads.ft};
+  schedule.fs = {q_fs, o.overheads.fs};
+  schedule.nf = {q_nf, o.overheads.nf};
+  cmd.req.alg = o.alg;
+  cmd.req.accuracy = o.accuracy();
+  return cmd;
+}
+
+Command<svc::FaultSweepRequest> parse_fault_sweep(
+    const std::vector<std::string>& args, const Front& front) {
+  Command<svc::FaultSweepRequest> cmd;
+  svc::FaultSweepRequest& req = cmd.req;
+  req.rates = {0.0, 1e-3, 1e-2, 0.1, 1.0};
+  cmd.opts = parse_flags(
+      args, front, paper_overheads(), [&](int argc, char** argv, int& i) {
+        const std::string_view a = argv[i];
+        if (a == "--rates") {
+          req.rates = parse_num_list("--rates", flag_value(argc, argv, i));
+        } else if (a == "--min-sep") {
+          req.min_separation =
+              parse_num("--min-sep", flag_value(argc, argv, i));
+        } else if (a == "--no-baselines") {
+          req.with_baselines = false;
+        } else if (a == "--exact-supply") {
+          req.use_exact_supply = true;
+        } else {
+          return false;
+        }
+        return true;
+      });
+  req.alg = cmd.opts.alg;
+  req.overheads = cmd.opts.overheads;
+  req.goal = cmd.opts.goal;
+  req.accuracy = cmd.opts.accuracy();
+  return cmd;
+}
+
+void reject_offline_flags(const CommonOpts& o) {
+  if (o.csv) {
+    throw ModelError("--csv is not supported over the wire (rows are JSONL)");
   }
-  return -1;
+  if (o.journaled() || o.resume || o.retries != 0 || o.fsync) {
+    throw ModelError(
+        "journal flags (--output/--resume/--retries/--fsync) are offline-only");
+  }
+}
+
+int emit(svc::JsonlWriter& w, const svc::SolveResult& r,
+         const svc::SolveRequest& req, bool with_wall) {
+  w.write(svc::solve_row(r, req.alg, req.goal, with_wall));
+  return r.feasible ? 0 : 1;
+}
+
+int emit_study_trial(svc::JsonlWriter& w, const svc::SolveResult& r,
+                     const svc::SolveRequest& req, svc::StudyAggregate& agg) {
+  // An unpackable trial is study data, not a failure: no exit-1 bump.
+  const std::string row = svc::study_trial_row(r, req.alg, req.goal);
+  w.write(row);
+  agg.add(row);
+  return r.prov.quarantined ? 3 : 0;
+}
+
+int emit(svc::JsonlWriter& w, const svc::MinQuantumResult& r,
+         const svc::MinQuantumRequest& req, bool with_wall) {
+  w.write(svc::min_quantum_row(r, req.alg, req.period, with_wall));
+  return 0;
+}
+
+int emit(svc::JsonlWriter& w, const svc::RegionSweepResult& r,
+         const svc::RegionSweepRequest& req, bool with_wall) {
+  if (r.ok()) {
+    for (const core::RegionSample& s : r.samples) {
+      w.write(svc::sweep_sample_row(r, req.alg, s));
+    }
+  }
+  w.write(svc::sweep_summary_row(r, req.alg, with_wall));
+  return r.prov.quarantined ? 3 : r.ok() ? 0 : 1;
+}
+
+int emit(svc::JsonlWriter& w, const svc::VerifyResult& r,
+         const svc::VerifyRequest& req, bool with_wall) {
+  w.write(svc::verify_row(r, req.alg, req.schedule.period, with_wall));
+  return r.schedulable ? 0 : 1;
+}
+
+int emit(svc::JsonlWriter& w, const svc::FaultSweepResult& r,
+         const svc::FaultSweepRequest& req, bool /*with_wall*/) {
+  // Partially computed points of an error entry must not masquerade as
+  // sweep output: error entries emit their one summary row only.
+  if (r.ok()) {
+    for (const svc::FaultRatePoint& p : r.points) {
+      w.write(svc::fault_point_row(r, p, req.alg, req.with_baselines));
+    }
+  }
+  w.write(svc::fault_sweep_summary_row(r, req.alg));
+  return r.prov.quarantined ? 3 : r.ok() && r.feasible ? 0 : 1;
 }
 
 std::vector<std::string> split_tokens(const std::string& line) {
@@ -215,53 +445,6 @@ std::optional<WireStatus> parse_status_line(const std::string& line) {
   }
   return std::nullopt;
 }
-
-namespace {
-
-void reject_offline_flags(const CommonOpts& o) {
-  if (o.csv) {
-    throw ModelError("--csv is not supported over the wire (rows are JSONL)");
-  }
-  if (o.journaled() || o.resume || o.retries != 0 || o.fsync) {
-    throw ModelError(
-        "journal flags (--output/--resume/--retries/--fsync) are offline-only");
-  }
-}
-
-/// Shared flag loop of every request command: common flags via
-/// parse_common_flag, command-specific ones via `extra(raw, argc, i)`,
-/// anything else is an error. Bare tokens are rejected too -- wire fleets
-/// are built with `add`/`gen-fleet`, never from positional file paths.
-template <typename Extra>
-void parse_wire_flags(CommonOpts& o, const std::vector<std::string>& args,
-                      const Extra& extra) {
-  ArgVec av(args);
-  const int argc = av.argc();
-  char** raw = av.argv();
-  for (int i = 0; i < argc; ++i) {
-    const std::string a = raw[i];
-    const int c = parse_common_flag(o, argc, raw, i);
-    if (c == 0) continue;
-    if (c == 2) throw ModelError("bad or incomplete flag '" + a + "'");
-    if (extra(raw, argc, i)) continue;
-    if (!a.empty() && a[0] == '-') throw ModelError("unknown flag '" + a + "'");
-    throw ModelError("unexpected argument '" + a +
-                     "' (systems are added with `add`, not file paths)");
-  }
-  reject_offline_flags(o);
-}
-
-const auto kNoExtraFlags = [](char**, int, int&) { return false; };
-
-/// One-line sanitizer for `error` status lines: the message must not break
-/// the line-oriented framing.
-std::string one_line(std::string msg) {
-  std::replace(msg.begin(), msg.end(), '\n', ' ');
-  std::replace(msg.begin(), msg.end(), '\r', ' ');
-  return msg;
-}
-
-}  // namespace
 
 Session::Session(std::ostream& out, std::size_t max_line)
     : out_(out),
@@ -324,6 +507,19 @@ int Session::handle_line(const std::string& line, std::istream& in,
   }
 }
 
+template <typename Request>
+int Session::answer(const Command<Request>& cmd) {
+  reject_offline_flags(cmd.opts);
+  require_fleet();
+  svc::JsonlWriter rows(out_);
+  int rc = 0;
+  run_plain(*service_, cmd.req, [&](const auto& r) {
+    rc = std::max(rc, emit(rows, r, cmd.req, /*with_wall=*/false));
+  });
+  ok_line(rc);
+  return rc;
+}
+
 int Session::dispatch(const std::vector<std::string>& tokens, std::istream& in,
                       bool& quit) {
   const std::string& cmd = tokens[0];
@@ -336,9 +532,9 @@ int Session::dispatch(const std::vector<std::string>& tokens, std::istream& in,
   if (cmd == "add") return cmd_add(args, in);
   if (cmd == "gen-fleet") return cmd_gen_fleet(args);
   if (cmd == "solve") return cmd_solve(args);
-  if (cmd == "minq") return cmd_minq(args);
-  if (cmd == "sweep") return cmd_sweep(args);
-  if (cmd == "verify") return cmd_verify(args);
+  if (cmd == "minq") return answer(parse_minq(args, {}));
+  if (cmd == "sweep") return answer(parse_sweep(args, {}));
+  if (cmd == "verify") return answer(parse_verify(args, {}));
   if (cmd == "fault-sweep") return cmd_fault_sweep(args);
   if (cmd == "status") return cmd_status(args);
   if (cmd == "drop") {
@@ -408,227 +604,34 @@ int Session::cmd_gen_fleet(const std::vector<std::string>& args) {
 }
 
 int Session::cmd_solve(const std::vector<std::string>& args) {
-  // --study is discovered before flag parsing so the study defaults
-  // (paper's O_tot = 0.05 split evenly) seed CommonOpts exactly like the
-  // offline `study` subcommand does.
-  const bool study_mode =
-      std::find(args.begin(), args.end(), "--study") != args.end();
-  CommonOpts o;
-  if (study_mode) o.overheads = {0.05 / 3, 0.05 / 3, 0.05 / 3};
-  parse_wire_flags(o, args, [](char** raw, int, int& i) {
-    return std::strcmp(raw[i], "--study") == 0;
-  });
-  require_fleet();
-
-  svc::JsonlWriter rows(out_);
-  if (study_mode) {
-    if (!generated_) {
-      throw ModelError("solve --study needs a gen-fleet fleet");
-    }
-    core::SearchOptions search;
-    search.grid_step = 5e-3;  // the offline study subcommand's search grid
-    search.p_max = 10.0;
-    const svc::SolveRequest req{o.alg, o.overheads, o.goal, search,
-                                o.accuracy()};
-    svc::StudyAggregate agg;
-    service_->solve(req, [&](const svc::SolveResult& r) {
-      const std::string row = svc::study_trial_row(r, o.alg, o.goal);
-      rows.write(row);
-      agg.add(row);
-    });
-    // Shards emit rows only; the merged/unsharded report owns the summary.
-    if (study_.shard.count == 1) rows.write(agg.summary_row());
-    ok_line(0);
-    return 0;
-  }
-
-  const svc::SolveRequest req{o.alg, o.overheads, o.goal, {}, o.accuracy()};
-  int rc = 0;
-  service_->solve(req, [&](const svc::SolveResult& r) {
-    if (!r.ok()) throw ModelError(r.error);
-    rows.write(svc::solve_row(r, o.alg, o.goal, /*with_wall=*/false));
-    if (!r.feasible) rc = std::max(rc, 1);
-  });
-  ok_line(rc);
-  return rc;
+  // `solve --study` is the wire spelling of the offline study subcommand.
+  std::vector<std::string> rest;
+  std::copy_if(args.begin(), args.end(), std::back_inserter(rest),
+               [](const std::string& a) { return a != "--study"; });
+  if (rest.size() != args.size()) return cmd_study(rest);
+  return answer(parse_solve(args, {}));
 }
 
-int Session::cmd_minq(const std::vector<std::string>& args) {
-  CommonOpts o;
-  double period = 0.0;
-  bool exact_supply = false;
-  parse_wire_flags(o, args, [&](char** raw, int argc, int& i) {
-    if (std::strcmp(raw[i], "--period") == 0) {
-      if (i + 1 >= argc) throw ModelError("--period: missing value");
-      period = parse_num("--period", raw[++i]);
-      return true;
-    }
-    if (std::strcmp(raw[i], "--exact-supply") == 0) {
-      exact_supply = true;
-      return true;
-    }
-    return false;
-  });
-  if (period <= 0.0) throw ModelError("minq needs --period P > 0");
+int Session::cmd_study(const std::vector<std::string>& args) {
+  const auto cmd = parse_study(args, {});
+  reject_offline_flags(cmd.opts);
   require_fleet();
-
-  const svc::MinQuantumRequest req{o.alg, period, exact_supply, o.accuracy()};
+  if (!generated_) throw ModelError("solve --study needs a gen-fleet fleet");
   svc::JsonlWriter rows(out_);
-  service_->min_quantum(req, [&](const svc::MinQuantumResult& r) {
-    if (!r.ok()) throw ModelError(r.error);
-    rows.write(svc::min_quantum_row(r, o.alg, period, /*with_wall=*/false));
+  svc::StudyAggregate agg;
+  service_->solve(cmd.req, [&](const svc::SolveResult& r) {
+    emit_study_trial(rows, r, cmd.req, agg);
   });
+  // Shards emit rows only; the merged/unsharded report owns the summary.
+  if (study_.shard.count == 1) rows.write(agg.summary_row());
   ok_line(0);
   return 0;
-}
-
-int Session::cmd_sweep(const std::vector<std::string>& args) {
-  CommonOpts o;
-  core::SearchOptions search;
-  search.p_min = 0.05;  // the offline sweep subcommand's grid
-  search.p_max = 3.5;
-  search.grid_step = 0.05;
-  parse_wire_flags(o, args, [&](char** raw, int argc, int& i) {
-    const auto take = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        throw ModelError(std::string(flag) + ": missing value");
-      }
-      return raw[++i];
-    };
-    if (std::strcmp(raw[i], "--p-min") == 0) {
-      search.p_min = parse_num("--p-min", take("--p-min"));
-      return true;
-    }
-    if (std::strcmp(raw[i], "--p-max") == 0) {
-      search.p_max = parse_num("--p-max", take("--p-max"));
-      return true;
-    }
-    if (std::strcmp(raw[i], "--step") == 0) {
-      search.grid_step = parse_num("--step", take("--step"));
-      return true;
-    }
-    return false;
-  });
-  require_fleet();
-
-  const svc::RegionSweepRequest req{o.alg, search, o.accuracy()};
-  svc::JsonlWriter rows(out_);
-  service_->region_sweep(req, [&](const svc::RegionSweepResult& r) {
-    if (!r.ok()) throw ModelError(r.error);
-    for (const core::RegionSample& s : r.samples) {
-      rows.write(svc::sweep_sample_row(r, o.alg, s));
-    }
-    rows.write(svc::sweep_summary_row(r, o.alg, /*with_wall=*/false));
-  });
-  ok_line(0);
-  return 0;
-}
-
-int Session::cmd_verify(const std::vector<std::string>& args) {
-  CommonOpts o;
-  double period = 0.0;
-  double q_ft = 0.0, q_fs = 0.0, q_nf = 0.0;
-  bool have_quanta = false;
-  bool exact_supply = false;
-  parse_wire_flags(o, args, [&](char** raw, int argc, int& i) {
-    if (std::strcmp(raw[i], "--period") == 0) {
-      if (i + 1 >= argc) throw ModelError("--period: missing value");
-      period = parse_num("--period", raw[++i]);
-      return true;
-    }
-    if (std::strcmp(raw[i], "--quanta") == 0) {
-      if (i + 1 >= argc || !parse_triple(raw[i + 1], q_ft, q_fs, q_nf)) {
-        throw ModelError("--quanta: expected Q_FT,Q_FS,Q_NF");
-      }
-      ++i;
-      have_quanta = true;
-      return true;
-    }
-    if (std::strcmp(raw[i], "--exact-supply") == 0) {
-      exact_supply = true;
-      return true;
-    }
-    return false;
-  });
-  if (period <= 0.0 || !have_quanta) {
-    throw ModelError("verify needs --period P > 0 and --quanta Q_FT,Q_FS,Q_NF");
-  }
-  require_fleet();
-
-  core::ModeSchedule schedule;
-  schedule.period = period;
-  schedule.ft = {q_ft, o.overheads.ft};
-  schedule.fs = {q_fs, o.overheads.fs};
-  schedule.nf = {q_nf, o.overheads.nf};
-
-  svc::JsonlWriter rows(out_);
-  int rc = 0;
-  service_->verify(
-      svc::VerifyRequest{o.alg, schedule, exact_supply, o.accuracy()},
-      [&](const svc::VerifyResult& r) {
-        if (!r.ok()) throw ModelError(r.error);
-        rows.write(svc::verify_row(r, o.alg, period, /*with_wall=*/false));
-        if (!r.schedulable) rc = 1;
-      });
-  ok_line(rc);
-  return rc;
 }
 
 int Session::cmd_fault_sweep(const std::vector<std::string>& args) {
-  CommonOpts o;
-  o.overheads = {0.05 / 3, 0.05 / 3, 0.05 / 3};  // paper's O_tot = 0.05
-  svc::FaultSweepRequest req;
-  req.rates = {0.0, 1e-3, 1e-2, 0.1, 1.0};
-  parse_wire_flags(o, args, [&](char** raw, int argc, int& i) {
-    if (std::strcmp(raw[i], "--rates") == 0) {
-      if (i + 1 >= argc) throw ModelError("--rates: missing value");
-      req.rates = parse_num_list("--rates", raw[++i]);
-      return true;
-    }
-    if (std::strcmp(raw[i], "--min-sep") == 0) {
-      if (i + 1 >= argc) throw ModelError("--min-sep: missing value");
-      req.min_separation = parse_num("--min-sep", raw[++i]);
-      return true;
-    }
-    if (std::strcmp(raw[i], "--no-baselines") == 0) {
-      req.with_baselines = false;
-      return true;
-    }
-    if (std::strcmp(raw[i], "--exact-supply") == 0) {
-      req.use_exact_supply = true;
-      return true;
-    }
-    return false;
-  });
-  require_fleet();
-
-  if (generated_) {
-    req.search.grid_step = 5e-3;  // the generated-fleet search grid
-    req.search.p_max = 10.0;
-  }
-  req.alg = o.alg;
-  req.overheads = o.overheads;
-  req.goal = o.goal;
-  req.accuracy = o.accuracy();
-
-  svc::JsonlWriter rows(out_);
-  int rc = 0;
-  service_->fault_sweep(req, [&](const svc::FaultSweepResult& r) {
-    if (!r.ok()) {
-      // Error entries emit their one summary row only: partially computed
-      // points must not masquerade as sweep output.
-      rows.write(svc::fault_sweep_summary_row(r, o.alg));
-      rc = std::max(rc, 1);
-      return;
-    }
-    for (const svc::FaultRatePoint& p : r.points) {
-      rows.write(svc::fault_point_row(r, p, o.alg, req.with_baselines));
-    }
-    if (!r.feasible) rc = std::max(rc, 1);
-    rows.write(svc::fault_sweep_summary_row(r, o.alg));
-  });
-  ok_line(rc);
-  return rc;
+  auto cmd = parse_fault_sweep(args, {});
+  if (generated_) cmd.req.search = generated_fleet_search();
+  return answer(cmd);
 }
 
 int Session::cmd_status(const std::vector<std::string>& args) {

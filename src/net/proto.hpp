@@ -1,29 +1,47 @@
 #pragma once
 
 #include <cstddef>
+#include <functional>
 #include <iosfwd>
 #include <memory>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
+#include "common/error.hpp"
 #include "core/design.hpp"
 #include "core/integration.hpp"
 #include "core/study_runner.hpp"
 #include "hier/sched_test.hpp"
 #include "svc/analysis_service.hpp"
 #include "svc/journal.hpp"
+#include "svc/jsonl.hpp"
+#include "svc/study_report.hpp"
 
 namespace flexrt::net::proto {
 
-/// The flexrtd wire protocol: a line-oriented command language over any
-/// iostream pair -- a socket in the daemon, stringstreams in the unit
-/// tests. One tested contract serves every front-end (the MAGPIE
-/// cmd_api pattern): the offline flexrt_design subcommands, the resident
-/// daemon, and the `flexrt_design remote` client all parse flags with the
-/// same CommonOpts machinery and render rows with the same svc/rows
-/// renderers, so their reports are byte-identical by construction (and
-/// CI-diffed to stay that way).
+/// The flexrtd wire protocol and the command layer under both front ends.
+///
+/// Every analysis command (solve, study, minq, sweep, verify, fault-sweep)
+/// lives here exactly once, as two functions that the offline
+/// flexrt_design subcommands and the wire Session both call:
+///
+///   parse_<cmd>(args, front)  one flag loop (parse_common_flag plus
+///       core::parse_study_flag plus the command's own flags) and the one
+///       copy of the command's defaults; returns the typed svc request and
+///       the front-end flags it came with. What the caller lends through
+///       Front decides what else is legal: positional task files, study
+///       flags, front-end-only flags (offline solve's --simulate etc.), and
+///       the token list that re-forms the command on the wire (`remote`).
+///   emit(writer, result, request, with_wall)  renders one result's JSONL
+///       rows through the svc/rows renderers and returns that result's
+///       exit-code contribution (emit_study_trial for study trials).
+///
+/// A remote report is therefore byte-identical to the offline --jsonl
+/// --no-wall report by construction (CI and tests/cli_bytes.py still diff
+/// them). The offline tool keeps only what has no wire twin: human tables,
+/// CSV, wall_ms, journaled runs, `merge` and the `remote` client itself.
 ///
 /// Framing (all lines '\n'-terminated, CRLF tolerated):
 ///
@@ -52,8 +70,8 @@ namespace flexrt::net::proto {
 /// concerns). Sessions are independent: each owns its fleet, while all of
 /// them share the process-wide par::parallel_for pool. Results stream to
 /// the client in entry order through the same svc ResultSink /
-/// par::ordered_stream path as --stream, so per-client memory stays
-/// bounded by the reorder window, not the fleet size.
+/// par::ordered_stream path as every offline report, so per-client memory
+/// stays bounded by the reorder window, not the fleet size.
 
 /// Hard cap on one wire line. Longer lines are consumed to their newline
 /// (framing survives) but reported truncated, and the command is rejected
@@ -69,32 +87,11 @@ inline constexpr std::size_t kMaxAddLines = std::size_t{1} << 20;
 double parse_num(const char* flag, const std::string& v);
 std::size_t parse_size(const char* flag, const std::string& v);
 
-/// "a,b,c" -> three doubles; returns false on malformed input.
-bool parse_triple(const std::string& spec, double& a, double& b, double& c);
-
-/// Comma-separated strict numbers ("0,0.01,0.1"); every token must parse
-/// (parse_num), so a malformed list throws naming the flag.
-std::vector<double> parse_num_list(const char* flag, const std::string& spec);
-
-/// Re-exposes tokenized arguments in the argc/argv shape the shared flag
-/// parsers (parse_common_flag, core::parse_study_flag) consume.
-struct ArgVec {
-  explicit ArgVec(const std::vector<std::string>& args) : owned(args) {
-    for (std::string& s : owned) ptrs.push_back(s.data());
-  }
-  int argc() const { return static_cast<int>(ptrs.size()); }
-  char** argv() { return ptrs.data(); }
-  std::vector<std::string> owned;
-  std::vector<char*> ptrs;
-};
-
-/// Flags shared by every analysis request -- one parser for the offline
-/// subcommands, the wire protocol, and the remote client, so the three
-/// fronts cannot drift. The accuracy knobs are kept as raw fields so
+/// Flags shared by every analysis command, as the command parsers below
+/// leave them. The accuracy knobs are kept as raw fields so
 /// --budget/--budget-cap/--adaptive compose in any flag order; accuracy()
 /// assembles the policy after parsing.
 struct CommonOpts {
-  std::vector<std::string> files;
   hier::Scheduler alg = hier::Scheduler::EDF;
   core::DesignGoal goal = core::DesignGoal::MinOverheadBandwidth;
   core::Overheads overheads{0.0, 0.0, 0.0};
@@ -104,7 +101,7 @@ struct CommonOpts {
   double deadline_ms = 0.0;    ///< per-entry wall budget; > 0 activates
   bool jsonl = false;
   bool csv = false;
-  bool stream = false;  ///< stream rows as entries finish (study, sweep)
+  bool stream = false;  ///< flush every JSONL row as it is written
   bool no_wall = false;  ///< omit wall_ms from JSONL rows (deterministic
                          ///< output -- what the wire always does)
   std::string output;   ///< journaled run target file ("" = stdout report)
@@ -145,9 +142,117 @@ struct CommonOpts {
   }
 };
 
-/// Consumes one shared flag at argv[i]; returns -1 when the flag did not
-/// match, 0 on success, 2 on a malformed value.
-int parse_common_flag(CommonOpts& o, int argc, char** argv, int& i);
+// --- the shared command layer ---------------------------------------------
+
+/// A front end's own flags: called with a token no shared parser knows;
+/// consumes argv[i] (advancing i past any value) and returns true, or
+/// returns false to let the token fail as an unknown flag.
+using FlagHook = std::function<bool(int argc, char** argv, int& i)>;
+
+/// What a front end lends the command parsers. The wire lends nothing (a
+/// default Front): bare tokens, study flags and unknown flags are errors.
+struct Front {
+  /// Non-null: bare tokens are task files and are collected here.
+  std::vector<std::string>* files = nullptr;
+  /// Non-null: --trials/--seed/--shard are accepted into *gen.
+  core::StudyOptions* gen = nullptr;
+  /// Non-null: every command flag is copied here with its values, in
+  /// order -- the tokens that re-form the command on the wire (`remote`).
+  std::vector<std::string>* wire = nullptr;
+  /// Front-end-only flags (offline solve's --simulate, --sensitivity, ...).
+  FlagHook hook = nullptr;
+};
+
+/// One parsed analysis command: the typed request plus the flags it came
+/// with (output form and journal knobs are the front end's business).
+template <typename Request>
+struct Command {
+  Request req;
+  CommonOpts opts;
+};
+
+/// The value after the flag at argv[i] (advancing i); throws ModelError
+/// naming the flag when it is missing.
+const char* flag_value(int argc, char** argv, int& i);
+
+/// The command parsers. Each throws ModelError naming the offending token
+/// on a malformed, unknown or incomplete flag, and on a missing required
+/// one (minq/verify --period, verify --quanta).
+Command<svc::SolveRequest> parse_solve(const std::vector<std::string>& args,
+                                       const Front& front);
+/// The study request (`flexrt_design study`, wire `solve --study`): the
+/// paper's O_tot = 0.05 split evenly and the generated-fleet search grid.
+Command<svc::SolveRequest> parse_study(const std::vector<std::string>& args,
+                                       const Front& front);
+Command<svc::MinQuantumRequest> parse_minq(const std::vector<std::string>& args,
+                                           const Front& front);
+Command<svc::RegionSweepRequest> parse_sweep(
+    const std::vector<std::string>& args, const Front& front);
+Command<svc::VerifyRequest> parse_verify(const std::vector<std::string>& args,
+                                         const Front& front);
+/// Search grid left at the task-file default; a caller running the sweep
+/// over a generated fleet sets generated_fleet_search().
+Command<svc::FaultSweepRequest> parse_fault_sweep(
+    const std::vector<std::string>& args, const Front& front);
+
+/// The period search of every generated-fleet request (study trials and
+/// fault-sweeps over --trials fleets).
+core::SearchOptions generated_fleet_search();
+
+/// Throws ModelError when `o` carries --csv or a journal flag: reports that
+/// leave the process are plain JSONL (the wire, `remote`).
+void reject_offline_flags(const CommonOpts& o);
+
+/// Returns `r`, or throws its error when it carries one.
+template <typename Result>
+const Result& require_ok(const Result& r) {
+  if (!r.ok()) throw ModelError(r.error);
+  return r;
+}
+
+/// Runs one plain (unjournaled) request over the fleet through the
+/// service's streaming overload, handing each result to `sink` in entry
+/// order. A solve, minq, sweep or verify run fails whole on an error entry
+/// (the error is thrown: exit 2 / wire `error`); a fault-sweep's error
+/// entries reach the sink and render as error rows.
+template <typename Request, typename Sink>
+void run_plain(const svc::AnalysisService& s, const Request& req,
+               const Sink& sink) {
+  const auto checked = [&](const auto& r) { sink(require_ok(r)); };
+  if constexpr (std::is_same_v<Request, svc::SolveRequest>) {
+    s.solve(req, checked);
+  } else if constexpr (std::is_same_v<Request, svc::MinQuantumRequest>) {
+    s.min_quantum(req, checked);
+  } else if constexpr (std::is_same_v<Request, svc::RegionSweepRequest>) {
+    s.region_sweep(req, checked);
+  } else if constexpr (std::is_same_v<Request, svc::VerifyRequest>) {
+    s.verify(req, checked);
+  } else {
+    static_assert(std::is_same_v<Request, svc::FaultSweepRequest>);
+    s.fault_sweep(req, sink);
+  }
+}
+
+/// The emitters, one per command: one result's JSONL rows, rendered through
+/// svc/rows into `w`. Each returns the result's exit-code contribution: 3
+/// quarantined, 1 infeasible / unschedulable / error row, else 0. Sweep,
+/// fault-sweep and study results that carry an error render their lone
+/// error row (journaled runs keep going); the others must be ok().
+int emit(svc::JsonlWriter& w, const svc::SolveResult& r,
+         const svc::SolveRequest& req, bool with_wall);
+int emit(svc::JsonlWriter& w, const svc::MinQuantumResult& r,
+         const svc::MinQuantumRequest& req, bool with_wall);
+int emit(svc::JsonlWriter& w, const svc::RegionSweepResult& r,
+         const svc::RegionSweepRequest& req, bool with_wall);
+int emit(svc::JsonlWriter& w, const svc::VerifyResult& r,
+         const svc::VerifyRequest& req, bool with_wall);
+/// Fault-sweep rows are always wall-free: `with_wall` is ignored.
+int emit(svc::JsonlWriter& w, const svc::FaultSweepResult& r,
+         const svc::FaultSweepRequest& req, bool with_wall);
+/// A study trial's row (always wall-free), also folded into `agg`, the
+/// study_summary row's accumulator.
+int emit_study_trial(svc::JsonlWriter& w, const svc::SolveResult& r,
+                     const svc::SolveRequest& req, svc::StudyAggregate& agg);
 
 /// Splits a command line into whitespace-separated tokens.
 std::vector<std::string> split_tokens(const std::string& line);
@@ -198,10 +303,11 @@ class Session {
   int cmd_add(const std::vector<std::string>& args, std::istream& in);
   int cmd_gen_fleet(const std::vector<std::string>& args);
   int cmd_solve(const std::vector<std::string>& args);
-  int cmd_minq(const std::vector<std::string>& args);
-  int cmd_sweep(const std::vector<std::string>& args);
-  int cmd_verify(const std::vector<std::string>& args);
+  int cmd_study(const std::vector<std::string>& args);
   int cmd_fault_sweep(const std::vector<std::string>& args);
+  /// Runs a parsed request command: its rows, then the status line.
+  template <typename Request>
+  int answer(const Command<Request>& cmd);
   int cmd_status(const std::vector<std::string>& args);
 
   void require_fleet() const;

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstring>
 #include <numeric>
+#include <utility>
 
 namespace flexrt::rt {
 namespace {
@@ -147,10 +148,14 @@ CanonicalSystem CanonicalBuilder::finish() const {
   // Pass 2: serialize each channel in deadline-monotonic stable order
   // (the FP priority order; EDF is order-indifferent), then feed groups
   // with their channels in sorted-serialization order.
-  HashStream h;
+  // Each channel serializes twice, in grid form for `hash` and raw-bits
+  // form for `exact`; sorting the pairs orders channels by grid form first,
+  // so `hash` sees the order it always did.
+  HashStream h, exact;
   h.u64(out.grid_gcd > 0 ? 1 : 0);
+  using Tokens = std::vector<std::uint64_t>;
   for (const Group& grp : groups_) {
-    std::vector<std::vector<std::uint64_t>> channels;
+    std::vector<std::pair<Tokens, Tokens>> channels;
     channels.reserve(grp.channels.size());
     for (const TaskSet& channel : grp.channels) {
       std::vector<const Task*> order;
@@ -160,20 +165,24 @@ CanonicalSystem CanonicalBuilder::finish() const {
                        [](const Task* a, const Task* b) {
                          return a->deadline < b->deadline;
                        });
-      std::vector<std::uint64_t> tokens;
-      tokens.push_back(order.size());
+      Tokens grid = {order.size()};
+      Tokens raw = grid;
       for (const Task* t : order) {
-        append_task(tokens, *t, out.grid_gcd);
+        append_task(grid, *t, out.grid_gcd);
+        append_task(raw, *t, 0);
       }
-      channels.push_back(std::move(tokens));
+      channels.emplace_back(std::move(grid), std::move(raw));
     }
     std::sort(channels.begin(), channels.end());
     h.u64(grp.tag).u64(channels.size());
-    for (const std::vector<std::uint64_t>& tokens : channels) {
-      for (const std::uint64_t w : tokens) h.u64(w);
+    exact.u64(grp.tag).u64(channels.size());
+    for (const auto& [grid, raw] : channels) {
+      for (const std::uint64_t w : grid) h.u64(w);
+      for (const std::uint64_t w : raw) exact.u64(w);
     }
   }
   out.hash = h.digest();
+  out.exact = exact.digest();
   return out;
 }
 

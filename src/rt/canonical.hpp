@@ -85,6 +85,11 @@ struct CanonicalSystem {
   double scale = 1.0;
   /// GCD of the grid integers; 0 when not normalized.
   std::int64_t grid_gcd = 0;
+  /// The same canonical task/channel order hashed with every time's exact
+  /// bits: equal only for bit-equal systems (up to the permutations the
+  /// canonical order absorbs), where `hash` also identifies systems whose
+  /// times differ below the grid.
+  Hash128 exact{};
 
   bool normalized() const noexcept { return grid_gcd > 0; }
 

@@ -425,6 +425,7 @@ Result AnalysisService::memoized(std::size_t i, const Request& req,
     hash_request(h, e.canon, req);
     key = h.digest();
     rt::HashStream raw_h;
+    raw_h.u64(e.canon.exact.hi).u64(e.canon.exact.lo);
     hash_request(raw_h, rt::CanonicalSystem{}, req);
     raw = raw_h.digest();
     const par::StopWatch clock;
@@ -703,10 +704,15 @@ FaultSweepResult AnalysisService::fault_sweep_one(
       p.nf_ok = true;
       p.nf_exposure = fault::corruption_exposure(rate, u_nf);
       // FS: each channel must absorb one re-execution per recovery gap
-      // within its designed slot supply.
-      p.fs_ok = true;
+      // within its designed slot supply. Empty channels need no supply (a
+      // design without FS tasks has Q_FS = 0, no valid supply to build);
+      // tasks without usable FS time fail, as in core::verify_schedule.
+      p.fs_ok = sys.mode_tasks(rt::Mode::FS).empty() ||
+                out.schedule.fs.usable > 0.0;
       for (const rt::TaskSet& channel : sys.partitions(rt::Mode::FS)) {
-        const bool ok =
+        if (!p.fs_ok) break;
+        if (channel.empty()) continue;
+        p.fs_ok =
             req.use_exact_supply
                 ? fault::fs_schedulable(channel, req.alg,
                                         out.schedule.exact_supply(rt::Mode::FS),
@@ -714,10 +720,6 @@ FaultSweepResult AnalysisService::fault_sweep_one(
                 : fault::fs_schedulable(channel, req.alg,
                                         out.schedule.supply(rt::Mode::FS),
                                         p.recovery_gap);
-        if (!ok) {
-          p.fs_ok = false;
-          break;
-        }
       }
       if (req.with_baselines) {
         p.pb_ok = pb_ok;

@@ -28,10 +28,12 @@ struct MemoValue {
   /// from a system with a different scale multiplies the payload's
   /// time-dimensioned fields by the scale ratio before returning it.
   double scale = 1.0;
-  /// Producer's request hashed bit for bit (hash_request against a default
-  /// rt::CanonicalSystem, which hashes every time raw). The key snaps times
-  /// to grid rationals, so P = 0.8 and P = 0.8000000000000002 share a key;
-  /// a same-scale hit replays only when the asker's raw digest matches.
+  /// Producer's system and request hashed bit for bit: the system's
+  /// rt::CanonicalSystem::exact digest, then hash_request against a default
+  /// rt::CanonicalSystem (which hashes every time raw). The key snaps times
+  /// to grid rationals, so P = 0.8 and P = 0.8000000000000002 share a key,
+  /// as do systems whose WCETs differ by 1e-12; a same-scale hit replays
+  /// only when the asker's raw digest matches.
   rt::Hash128 raw{};
 };
 

@@ -261,6 +261,70 @@ TEST_F(MemoCacheTest, SameScaleHitReplaysOnlyABitIdenticalRequest) {
   EXPECT_EQ(st.misses, 2u);
 }
 
+TEST_F(MemoCacheTest, SameScaleHitReplaysOnlyABitIdenticalSystem) {
+  // Every WCET raised by 2e-12: below the canonical grid, so the system
+  // shares the paper example's key and scale, but its exact answer
+  // differs and must not be replayed from the original's.
+  const core::ModeTaskSystem& base = core::paper_example();
+  std::array<std::vector<rt::TaskSet>, 3> parts;
+  for (std::size_t m = 0; m < core::kAllModes.size(); ++m) {
+    for (const rt::TaskSet& channel : base.partitions(core::kAllModes[m])) {
+      std::vector<rt::Task> tasks;
+      for (const rt::Task& t : channel) {
+        tasks.push_back(rt::make_task(t.name, t.wcet + 2e-12, t.period,
+                                      t.deadline, t.mode));
+      }
+      parts[m].emplace_back(std::move(tasks));
+    }
+  }
+  AnalysisService service;
+  service.add_system(base, "paper");
+  service.add_system(core::ModeTaskSystem(std::move(parts[0]),
+                                          std::move(parts[1]),
+                                          std::move(parts[2])),
+                     "nudged");
+  ASSERT_EQ(service.canonical(0).hash, service.canonical(1).hash);
+  ASSERT_EQ(service.canonical(0).scale, service.canonical(1).scale);
+  const MinQuantumRequest req{Scheduler::EDF, 1.0, false, {}};
+
+  global_memo().set_enabled(false);
+  const MinQuantumResult cold = service.min_quantum_one(1, req);
+  global_memo().set_enabled(true);
+
+  (void)service.min_quantum_one(0, req);
+  const MinQuantumResult warm = service.min_quantum_one(1, req);
+  EXPECT_FALSE(warm.prov.cache_hit);
+  EXPECT_EQ(warm.mode_quantum, cold.mode_quantum);
+  EXPECT_EQ(warm.margin, cold.margin);
+  EXPECT_EQ(global_memo().stats().hits, 0u);
+}
+
+TEST_F(MemoCacheTest, PermutedTwinStillHits) {
+  // The exact digest follows the canonical order, so a twin whose
+  // channels and tasks come in another order is the same system.
+  const core::ModeTaskSystem& base = core::paper_example();
+  std::array<std::vector<rt::TaskSet>, 3> parts;
+  for (std::size_t m = 0; m < core::kAllModes.size(); ++m) {
+    for (const rt::TaskSet& channel : base.partitions(core::kAllModes[m])) {
+      std::vector<rt::Task> tasks(channel.begin(), channel.end());
+      std::reverse(tasks.begin(), tasks.end());
+      parts[m].insert(parts[m].begin(), rt::TaskSet(std::move(tasks)));
+    }
+  }
+  AnalysisService service;
+  service.add_system(base, "paper");
+  service.add_system(core::ModeTaskSystem(std::move(parts[0]),
+                                          std::move(parts[1]),
+                                          std::move(parts[2])),
+                     "permuted");
+  const MinQuantumRequest req{Scheduler::EDF, 1.0, false, {}};
+  const MinQuantumResult first = service.min_quantum_one(0, req);
+  const MinQuantumResult twin = service.min_quantum_one(1, req);
+  EXPECT_TRUE(twin.prov.cache_hit);
+  EXPECT_EQ(twin.mode_quantum, first.mode_quantum);
+  EXPECT_EQ(global_memo().stats().hits, 1u);
+}
+
 // --- configuration: kill switch and byte budget -------------------------
 
 TEST_F(MemoCacheTest, DisabledMemoNeverTouchesTheCache) {

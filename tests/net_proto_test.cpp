@@ -452,6 +452,115 @@ TEST(NetProto, BlankLinesAreKeepAliveNoOps) {
   EXPECT_EQ(statuses(got.bytes).size(), 2u) << "blank lines emit nothing";
 }
 
+// --- the shared command parsers ------------------------------------------
+
+TEST(NetProtoParse, OfflineFrontCollectsFilesAndTheWireRejectsThem) {
+  std::vector<std::string> files;
+  const auto offline = parse_solve({"a.txt", "--alg", "rm", "b.txt"},
+                                   {.files = &files});
+  EXPECT_EQ(files, (std::vector<std::string>{"a.txt", "b.txt"}));
+  EXPECT_EQ(offline.req.alg, Scheduler::FP);
+
+  try {
+    parse_solve({"a.txt"}, {});
+    FAIL() << "the wire must reject a positional token";
+  } catch (const ModelError& e) {
+    EXPECT_NE(std::string(e.what()).find("unexpected argument 'a.txt'"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(NetProtoParse, ValuedFrontEndFlagIsOneFlagAndItsValue) {
+  // `solve f --simulate 100`: the hook takes --simulate with its value, so
+  // "100" is never mistaken for a task file.
+  std::vector<std::string> files;
+  std::string simulate;
+  Front front{.files = &files};
+  front.hook = [&](int argc, char** argv, int& i) {
+    if (std::string(argv[i]) != "--simulate") return false;
+    simulate = flag_value(argc, argv, i);
+    return true;
+  };
+  parse_solve({"f.txt", "--simulate", "100", "--jsonl"}, front);
+  EXPECT_EQ(files, std::vector<std::string>{"f.txt"});
+  EXPECT_EQ(simulate, "100");
+
+  // Without the hook (`remote`) the flag fails, named, before any file
+  // could be misread.
+  std::vector<std::string> remote_files, wire;
+  try {
+    parse_solve({"f.txt", "--simulate", "100"},
+                {.files = &remote_files, .wire = &wire});
+    FAIL() << "--simulate has no wire twin";
+  } catch (const ModelError& e) {
+    EXPECT_NE(std::string(e.what()).find("--simulate"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(NetProtoParse, RemoteSplitSeparatesStudyFlagsFilesAndWireTokens) {
+  core::StudyOptions study;
+  study.trials = 0;
+  std::vector<std::string> files, wire;
+  parse_verify({"f.txt", "--period", "1", "--trials", "4", "--quanta",
+                "0.2,0.3,0.2", "--no-wall"},
+               {.files = &files, .gen = &study, .wire = &wire});
+  EXPECT_EQ(files, std::vector<std::string>{"f.txt"});
+  EXPECT_EQ(study.trials, 4u);
+  EXPECT_EQ(wire, (std::vector<std::string>{"--period", "1", "--quanta",
+                                            "0.2,0.3,0.2", "--no-wall"}));
+  // The wire lends no study options: --trials is an unknown flag there.
+  EXPECT_THROW(parse_verify({"--trials", "4"}, {}), ModelError);
+}
+
+TEST(NetProtoParse, CommandDefaultsAreThePublishedOnes) {
+  const core::Overheads split{0.05 / 3, 0.05 / 3, 0.05 / 3};
+  const auto same_overheads = [](const core::Overheads& a,
+                                 const core::Overheads& b) {
+    return a.ft == b.ft && a.fs == b.fs && a.nf == b.nf;
+  };
+
+  const auto sweep = parse_sweep({}, {});
+  EXPECT_EQ(sweep.req.search.p_min, 0.05);
+  EXPECT_EQ(sweep.req.search.p_max, 3.5);
+  EXPECT_EQ(sweep.req.search.grid_step, 0.05);
+
+  const core::SearchOptions generated = generated_fleet_search();
+  EXPECT_EQ(generated.grid_step, 5e-3);
+  EXPECT_EQ(generated.p_max, 10.0);
+
+  const auto study = parse_study({}, {});
+  EXPECT_TRUE(same_overheads(study.req.overheads, split));
+  EXPECT_EQ(study.req.search.grid_step, generated.grid_step);
+  EXPECT_EQ(study.req.search.p_max, generated.p_max);
+
+  const auto fault = parse_fault_sweep({}, {});
+  EXPECT_EQ(fault.req.rates, (std::vector<double>{0.0, 1e-3, 1e-2, 0.1, 1.0}));
+  EXPECT_TRUE(same_overheads(fault.req.overheads, split));
+  EXPECT_EQ(fault.req.search.p_max, core::SearchOptions{}.p_max)
+      << "task-file fault-sweeps keep the default search";
+
+  const auto solve = parse_solve({}, {});
+  EXPECT_TRUE(same_overheads(solve.req.overheads, {0.0, 0.0, 0.0}));
+}
+
+TEST(NetProtoParse, MalformedFlagsThrowNamingTheFlag) {
+  for (const std::vector<std::string>& args :
+       std::vector<std::vector<std::string>>{{"--alg", "xyz"},
+                                             {"--budget", "64k"},
+                                             {"--overhead", "1,2"},
+                                             {"--deadline"}}) {
+    try {
+      parse_solve(args, {});
+      FAIL() << args[0] << " must be rejected";
+    } catch (const ModelError& e) {
+      EXPECT_NE(std::string(e.what()).find(args[0]), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(NetProto, VerifyUnschedulableIsRcOneNotError) {
   const SessionOutput got = run_script(
       add_block("sys0") +

@@ -230,6 +230,31 @@ TEST_F(FaultSweepOnPaperExample, InfeasibleNominalDesignSweepsNothing) {
   EXPECT_TRUE(r.points.empty());
 }
 
+TEST(FaultSweepWithoutFs, EmptyFsModeNeedsNoSupply) {
+  // Without FS tasks the design's Q_FS is 0, a rate no supply can have; the
+  // FS class has nothing to lose, so every point is fs_ok, not an error.
+  const core::ModeTaskSystem& paper = core::paper_example();
+  const auto channels = [&](rt::Mode mode) {
+    const auto p = paper.partitions(mode);
+    return std::vector<rt::TaskSet>(p.begin(), p.end());
+  };
+  AnalysisService service;
+  service.add_system(core::ModeTaskSystem(channels(rt::Mode::FT), {},
+                                          channels(rt::Mode::NF)),
+                     "no-fs");
+  FaultSweepRequest req;
+  req.rates = {0.0, 0.1, 1.0};
+  for (const bool exact : {false, true}) {
+    req.use_exact_supply = exact;
+    const FaultSweepResult r = service.fault_sweep_one(0, req);
+    ASSERT_TRUE(r.ok()) << r.error;
+    ASSERT_TRUE(r.feasible) << r.infeasible;
+    EXPECT_EQ(r.schedule.fs.usable, 0.0);
+    ASSERT_EQ(r.points.size(), req.rates.size());
+    for (const FaultRatePoint& p : r.points) EXPECT_TRUE(p.fs_ok);
+  }
+}
+
 // --- fleet + streaming -----------------------------------------------------
 
 TEST(FaultSweepFleet, StreamedResultsEqualBufferedResultsWithErrorRows) {

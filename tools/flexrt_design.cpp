@@ -7,32 +7,8 @@
 // machine-readable JSON-lines (schema in tools/README.md), which is what
 // makes sharded study outputs mergeable.
 //
-// Usage:
-//   flexrt_design solve  <taskfile>... [--alg edf|rm]
-//                        [--goal min-overhead|max-slack]
-//                        [--overhead O_FT,O_FS,O_NF] [--adaptive TOL]
-//                        [--budget N] [--budget-cap N] [--jsonl] [--csv]
-//                        [--sensitivity] [--response-times]
-//                        [--simulate HORIZON] [--fault-rate R] [--trace N]
-//   flexrt_design sweep  <taskfile>... [--alg edf|rm] [--p-min P] [--p-max P]
-//                        [--step dP] [--adaptive TOL] [--budget N]
-//                        [--jsonl] [--csv] [--stream]
-//   flexrt_design verify <taskfile>... --period P --quanta Q_FT,Q_FS,Q_NF
-//                        [--overhead O_FT,O_FS,O_NF] [--alg edf|rm]
-//                        [--exact-supply] [--adaptive TOL] [--budget N]
-//                        [--jsonl]
-//   flexrt_design study  [--trials N] [--seed S] [--shard k/N]
-//                        [--alg edf|rm] [--goal g] [--overhead a,b,c]
-//                        [--adaptive TOL] [--budget N] [--jsonl] [--csv]
-//                        [--stream]
-//   flexrt_design fault-sweep <taskfile>... | --trials N [--seed S]
-//                        [--shard k/N] [--rates R1,R2,...] [--min-sep S]
-//                        [--no-baselines] [--exact-supply] [--alg edf|rm]
-//                        [--goal g] [--overhead a,b,c] [--adaptive TOL]
-//                        [--budget N] [--jsonl] [--csv] [--stream]
-//   flexrt_design merge  <report.jsonl>...
-//   flexrt_design remote <addr> <subcommand> [args...]
-//   flexrt_design help | --help
+// Usage: `flexrt_design help` (usage_text below); tools/README.md has the
+// flag reference and the JSONL schema.
 //
 // Every analysis subcommand also takes --deadline MS: a per-entry wall-time
 // budget; an adaptive ladder that runs out of time degrades gracefully to
@@ -49,10 +25,16 @@
 // subcommand with --jsonl --no-wall (CI diffs them). <addr> is a unix
 // socket path, host:port, or port.
 //
-// --stream (study, sweep, fault-sweep): emit each entry's rows as soon as
-// its analysis finishes, through the service's ordered reassembly buffer --
-// the output is byte-identical to the buffered path while peak memory stays
-// bounded by the reorder window instead of the fleet size.
+// Every report streams: each entry's rows are written as soon as its
+// analysis finishes, through the service's ordered reassembly buffer, so
+// peak memory stays bounded by the reorder window instead of the fleet
+// size. --stream only adds a flush after every JSONL row, so a killed run
+// leaves at most one partial final line.
+//
+// The analysis subcommands parse their flags and render their JSONL rows
+// with the command layer in net/proto, the same functions the flexrtd wire
+// protocol runs; this file adds only the offline forms (human tables, CSV,
+// wall_ms, journaled runs, merge) and the remote client.
 //
 // --output FILE (study, sweep, fault-sweep; implies --jsonl): crash-safe
 // journaled run through svc::run_journaled. Rows append to FILE.partial
@@ -81,9 +63,11 @@
 #include <csignal>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/error.hpp"
@@ -103,23 +87,16 @@
 #include "svc/journal.hpp"
 #include "svc/jsonl.hpp"
 #include "svc/memo_cache.hpp"
-#include "svc/rows.hpp"
 #include "svc/study_report.hpp"
 
 using namespace flexrt;
 
 namespace {
 
-// Flag parsing and JSONL row rendering are shared with the wire protocol
-// (net/proto, svc/rows): the offline subcommands, the flexrtd daemon and
-// `remote` cannot drift apart because they run the same code.
-using net::proto::ArgVec;
-using net::proto::CommonOpts;
-using net::proto::parse_common_flag;
-using net::proto::parse_num;
-using net::proto::parse_num_list;
-using net::proto::parse_size;
-using net::proto::parse_triple;
+namespace proto = net::proto;
+using proto::CommonOpts;
+using proto::parse_num;
+using proto::parse_size;
 
 void usage_text(std::ostream& os) {
   os << "usage: flexrt_design <subcommand> ...\n"
@@ -131,6 +108,8 @@ void usage_text(std::ostream& os) {
          "  sweep  <taskfile>... [--alg edf|rm] [--p-min P] [--p-max P]\n"
          "         [--step dP] [--adaptive TOL] [--budget N] [--jsonl] [--csv]\n"
          "         [--stream]\n"
+         "  minq   <taskfile>... --period P [--exact-supply] [--alg edf|rm]\n"
+         "         [--adaptive TOL] [--budget N] [--jsonl] [--csv]\n"
          "  verify <taskfile>... --period P --quanta Q_FT,Q_FS,Q_NF\n"
          "         [--overhead O_FT,O_FS,O_NF] [--alg edf|rm] [--exact-supply]\n"
          "         [--adaptive TOL] [--budget N] [--jsonl]\n"
@@ -180,52 +159,58 @@ int cmd_help() {
   return 0;
 }
 
-/// Exit code contributed by one journal row (rendered or replayed): 3 for
-/// a quarantined entry, 1 for an error row, else 0 -- max-combined across
-/// the run so quarantine outranks plain errors. Study rows are exempt from
-/// the error bump: an unpackable trial is study data (exit 0, matching the
-/// buffered study path), not a failure.
-int journal_row_rc(std::string_view row, bool errors_are_failures) {
-  if (svc::json_bool_field(row, "quarantined").value_or(false)) return 3;
-  if (!errors_are_failures) return 0;
-  if (svc::json_string_field(row, "error")) return 1;
-  if (!svc::json_bool_field(row, "feasible").value_or(true)) return 1;
-  return 0;
-}
-
-/// One journaled run's closing status line -- stderr, so the report file
-/// owns stdout-equivalent bytes and scripts can still parse the journal.
-void journal_note(const svc::JournalStats& stats, const std::string& path) {
-  std::cerr << "journal: " << path << ": " << stats.entries << " entries ("
-            << stats.replayed << " replayed, " << stats.executed
-            << " executed, " << stats.retried << " retried, "
-            << stats.quarantined << " quarantined)"
-            << (stats.already_complete ? " -- already complete" : "") << "\n";
-}
-
-/// Journal knobs plus the cooperative stop flag: every journaled run is
-/// signal-aware -- SIGINT/SIGTERM finishes the in-flight entry, fsyncs the
-/// .partial journal, and exits 4 (see finish_journaled).
-svc::JournalOptions signal_aware_journal_options(const CommonOpts& common) {
+/// A journaled run (--output) of `n` entries: each entry's rows are the
+/// shared emitter's, wall-free (resume byte identity needs deterministic
+/// rows), appended to FILE.partial and published by atomic rename. The exit
+/// code is the max over rendered and replayed rows: 3 for a quarantined
+/// entry, 1 for an error or infeasible row when `errors_are_failures`
+/// (study rows are exempt: an unpackable trial is study data), or 4 when
+/// SIGINT/SIGTERM cut the run short (--resume finishes it byte-identically).
+template <typename Run, typename Emit>
+int run_journal(std::size_t n, const CommonOpts& o, std::string_view terminal,
+                bool errors_are_failures, const Run& run, const Emit& emit,
+                const svc::Journal::RowCallback& replay = {},
+                const std::function<std::string()>& epilogue = {}) {
   sys::install_stop_signals();
-  svc::JournalOptions jopts = common.journal_options();
+  svc::JournalOptions jopts = o.journal_options();
   jopts.stop = &sys::stop_requested();
-  return jopts;
-}
-
-/// Closing note + exit code of a journaled run: the run's own rc, or the
-/// documented interrupt code 4 when a stop signal cut it short (completed
-/// entries are durable; --resume finishes the run byte-identically).
-int finish_journaled(const svc::JournalStats& stats, const std::string& path,
-                     int rc) {
-  journal_note(stats, path);
+  svc::Journal journal(o.output);
+  int rc = 0;
+  const svc::JournalStats stats = svc::run_journaled(
+      journal, n, jopts,
+      [&](std::string_view row) {
+        return svc::json_string_field(row, "kind").value_or("") == terminal;
+      },
+      [&](std::string_view row) {
+        if (svc::json_bool_field(row, "quarantined").value_or(false)) {
+          rc = std::max(rc, 3);
+        } else if (errors_are_failures &&
+                   (svc::json_string_field(row, "error") ||
+                    !svc::json_bool_field(row, "feasible").value_or(true))) {
+          rc = std::max(rc, 1);
+        }
+        if (replay) replay(row);
+      },
+      run,
+      [&](const auto& r) {
+        std::ostringstream block;
+        svc::JsonlWriter w(block);
+        rc = std::max(rc, emit(w, r));
+        return block.str();
+      },
+      epilogue);
+  std::cerr << "journal: " << o.output << ": " << stats.entries
+            << " entries (" << stats.replayed << " replayed, "
+            << stats.executed << " executed, " << stats.retried
+            << " retried, " << stats.quarantined << " quarantined)"
+            << (stats.already_complete ? " -- already complete" : "") << "\n";
   if (!stats.interrupted) return rc;
   const int sig = sys::stop_signal();
   std::cerr << "journal: interrupted by "
             << (sig == SIGTERM  ? "SIGTERM"
                 : sig == SIGINT ? "SIGINT"
                                 : "stop request")
-            << " -- completed entries are durable in " << path
+            << " -- completed entries are durable in " << o.output
             << ".partial; finish with --resume\n";
   return 4;
 }
@@ -238,6 +223,12 @@ void load_fleet(svc::AnalysisService& service,
     if (!in) throw ModelError("cannot open " + file);
     service.add_system(io::parse_mode_task_system(in).system, file);
   }
+}
+
+/// A task-file subcommand without a journal path (solve, minq, verify): at
+/// least one file and no journal flag.
+bool plain_run(const std::vector<std::string>& files, CommonOpts& o) {
+  return !files.empty() && !o.journaled() && o.finish_journal_flags();
 }
 
 std::string provenance_note(const svc::Provenance& p) {
@@ -255,13 +246,30 @@ std::string provenance_note(const svc::Provenance& p) {
   return os.str();
 }
 
-// Study row rendering and aggregation live in svc/study_report.hpp so the
-// streaming byte-identity tests drive the exact code the tool runs.
+void print_table(const Table& t, const CommonOpts& o) {
+  o.csv ? t.print_csv(std::cout) : t.print(std::cout);
+}
+
+/// An unjournaled report: every result, in entry order, as JSONL rows
+/// through the shared emitter or in the subcommand's human form (`human`
+/// prints one result and returns its exit code). Returns the max exit code.
+template <typename Request, typename Human>
+int report(const svc::AnalysisService& service,
+           const proto::Command<Request>& cmd, const Human& human) {
+  svc::JsonlWriter out(std::cout, /*flush_per_row=*/cmd.opts.stream);
+  int rc = 0;
+  proto::run_plain(service, cmd.req, [&](const auto& r) {
+    rc = std::max(rc, cmd.opts.jsonl
+                          ? proto::emit(out, r, cmd.req, !cmd.opts.no_wall)
+                          : human(r));
+  });
+  return rc;
+}
 
 // --- solve ----------------------------------------------------------------
 
-struct SolveOpts {
-  CommonOpts common;
+/// solve's offline-only flags: what the tool adds to a design beyond rows.
+struct SolveExtras {
   double simulate_horizon = 0.0;
   double fault_rate = 0.0;
   std::size_t trace = 0;
@@ -269,9 +277,12 @@ struct SolveOpts {
   bool response_times = false;
 };
 
-int print_solve_human(const svc::AnalysisService& service, std::size_t i,
-                      const svc::SolveResult& r, const SolveOpts& args) {
-  const core::ModeTaskSystem& sys = service.system(i);
+int print_solve_human(const svc::AnalysisService& service,
+                      const svc::SolveResult& r,
+                      const proto::Command<svc::SolveRequest>& cmd,
+                      const SolveExtras& x) {
+  const svc::SolveRequest& req = cmd.req;
+  const core::ModeTaskSystem& sys = service.system(r.system);
   std::cout << r.name << ": " << sys.num_tasks() << " tasks (FT "
             << sys.mode_tasks(rt::Mode::FT).size() << ", FS "
             << sys.mode_tasks(rt::Mode::FS).size() << ", NF "
@@ -281,8 +292,8 @@ int print_solve_human(const svc::AnalysisService& service, std::size_t i,
     return 1;
   }
   const core::Design& d = r.design;
-  std::cout << "design (" << to_string(args.common.alg) << ", "
-            << to_string(args.common.goal) << "): " << d.schedule << "\n"
+  std::cout << "design (" << to_string(req.alg) << ", " << to_string(req.goal)
+            << "): " << d.schedule << "\n"
             << "accuracy: " << provenance_note(r.prov) << "\n";
 
   Table t({"mode", "quantum", "overhead", "alloc_bw", "required_bw"});
@@ -294,16 +305,16 @@ int print_solve_human(const svc::AnalysisService& service, std::size_t i,
         .cell(d.schedule.allocated_bandwidth(mode), 4)
         .cell(sys.required_bandwidth(mode), 4);
   }
-  args.common.csv ? t.print_csv(std::cout) : t.print(std::cout);
+  print_table(t, cmd.opts);
 
-  if (args.sensitivity) {
+  if (x.sensitivity) {
     std::cout << "\nsensitivity (max WCET scale keeping the design "
                  "feasible, cap 16x):\n";
-    svc::SensitivityRequest req;
-    req.alg = args.common.alg;
-    req.schedule = d.schedule;
-    req.accuracy = args.common.accuracy();
-    const svc::SensitivityResult s = service.sensitivity_one(i, req);
+    svc::SensitivityRequest sreq;
+    sreq.alg = req.alg;
+    sreq.schedule = d.schedule;
+    sreq.accuracy = req.accuracy;
+    const svc::SensitivityResult s = service.sensitivity_one(r.system, sreq);
     Table st({"task", "mode", "wcet", "scale_margin"});
     for (const core::TaskMargin& m : s.margins) {
       st.row()
@@ -312,13 +323,13 @@ int print_solve_human(const svc::AnalysisService& service, std::size_t i,
           .cell(m.wcet, 3)
           .cell(m.scale_margin, 3);
     }
-    args.common.csv ? st.print_csv(std::cout) : st.print(std::cout);
+    print_table(st, cmd.opts);
     std::cout << "global simultaneous scale margin: "
               << format_fixed(s.global_margin, 3) << "\n";
   }
 
-  if (args.response_times) {
-    if (args.common.alg != hier::Scheduler::FP) {
+  if (x.response_times) {
+    if (req.alg != hier::Scheduler::FP) {
       std::cout << "\n(response-time bounds are available for FP only; "
                    "rerun with --alg rm)\n";
     } else {
@@ -343,24 +354,24 @@ int print_solve_human(const svc::AnalysisService& service, std::size_t i,
           }
         }
       }
-      args.common.csv ? rtb.print_csv(std::cout) : rtb.print(std::cout);
+      print_table(rtb, cmd.opts);
     }
   }
 
-  if (args.simulate_horizon > 0.0) {
+  if (x.simulate_horizon > 0.0) {
     sim::SimOptions opt;
-    opt.horizon = args.simulate_horizon;
-    opt.scheduler = args.common.alg;
-    opt.faults = {args.fault_rate, 2.0};
-    opt.trace_capacity = args.trace;
+    opt.horizon = x.simulate_horizon;
+    opt.scheduler = req.alg;
+    opt.faults = {x.fault_rate, 2.0};
+    opt.trace_capacity = x.trace;
     sim::Simulator simulator(sys, d.schedule, opt);
     const sim::SimResult res = simulator.run();
-    std::cout << "\nsimulated " << args.simulate_horizon << " units: "
+    std::cout << "\nsimulated " << x.simulate_horizon << " units: "
               << res.total_misses() << " misses, " << res.faults.injected
               << " faults (" << res.faults.masked << " masked, "
               << res.faults.silenced << " silenced, " << res.faults.corrupting
               << " corrupting)\n";
-    if (args.trace > 0) {
+    if (x.trace > 0) {
       std::cout << "--- trace ---\n";
       simulator.trace().print(std::cout);
     }
@@ -369,547 +380,264 @@ int print_solve_human(const svc::AnalysisService& service, std::size_t i,
   return 0;
 }
 
-int cmd_solve(const std::vector<std::string>& argv_rest) {
-  SolveOpts args;
-  ArgVec av(argv_rest);
-  const int argc = av.argc();
-  char** raw = av.argv();
-  for (int i = 0; i < argc; ++i) {
-    const std::string a = raw[i];
-    const int common = parse_common_flag(args.common, argc, raw, i);
-    if (common == 0) continue;
-    if (common == 2) return usage();
-    const auto next = [&]() -> const char* {
-      return i + 1 < argc ? raw[++i] : nullptr;
-    };
-    if (a == "--simulate") {
-      const char* v = next();
-      if (!v) return usage();
-      args.simulate_horizon = parse_num("--simulate", v);
-    } else if (a == "--fault-rate") {
-      const char* v = next();
-      if (!v) return usage();
-      args.fault_rate = parse_num("--fault-rate", v);
-    } else if (a == "--trace") {
-      const char* v = next();
-      if (!v) return usage();
-      args.trace = parse_size("--trace", v);
-    } else if (a == "--sensitivity") {
-      args.sensitivity = true;
+int cmd_solve(const std::vector<std::string>& rest) {
+  SolveExtras x;
+  std::vector<std::string> files;
+  proto::Front front{.files = &files};
+  front.hook = [&x](int argc, char** argv, int& i) {
+    const std::string_view a = argv[i];
+    if (a == "--sensitivity") {
+      x.sensitivity = true;
     } else if (a == "--response-times") {
-      args.response_times = true;
-    } else if (!a.empty() && a[0] != '-') {
-      args.common.files.push_back(a);
+      x.response_times = true;
+    } else if (a == "--simulate") {
+      x.simulate_horizon =
+          parse_num("--simulate", proto::flag_value(argc, argv, i));
+    } else if (a == "--fault-rate") {
+      x.fault_rate = parse_num("--fault-rate", proto::flag_value(argc, argv, i));
+    } else if (a == "--trace") {
+      x.trace = parse_size("--trace", proto::flag_value(argc, argv, i));
     } else {
-      return usage();
+      return false;
     }
-  }
-  if (args.common.files.empty()) return usage();
+    return true;
+  };
+  auto cmd = proto::parse_solve(rest, front);
   // solve has no journal path: one-shot fleets report to stdout.
-  if (args.common.journaled() || !args.common.finish_journal_flags()) {
-    return usage();
-  }
+  if (!plain_run(files, cmd.opts)) return usage();
 
   svc::AnalysisService service;
-  load_fleet(service, args.common.files);
-  svc::SolveRequest req{args.common.alg, args.common.overheads,
-                        args.common.goal, {}, args.common.accuracy()};
-  const std::vector<svc::SolveResult> results = service.solve(req);
+  load_fleet(service, files);
+  return report(service, cmd, [&](const svc::SolveResult& r) {
+    if (r.system) std::cout << "\n";
+    return print_solve_human(service, r, cmd, x);
+  });
+}
 
-  int rc = 0;
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const svc::SolveResult& r = results[i];
-    if (!r.ok()) throw ModelError(r.error);
-    if (args.common.jsonl) {
-      std::cout << svc::solve_row(r, args.common.alg, args.common.goal,
-                                  /*with_wall=*/!args.common.no_wall)
-                       .str()
-                << "\n";
-      if (!r.feasible) rc = std::max(rc, 1);
-    } else {
-      if (i) std::cout << "\n";
-      rc = std::max(rc, print_solve_human(service, i, r, args));
-    }
-  }
-  return rc;
+// --- minq -----------------------------------------------------------------
+
+int cmd_minq(const std::vector<std::string>& rest) {
+  std::vector<std::string> files;
+  auto cmd = proto::parse_minq(rest, {.files = &files});
+  if (!plain_run(files, cmd.opts)) return usage();
+
+  svc::AnalysisService service;
+  load_fleet(service, files);
+  return report(service, cmd, [&](const svc::MinQuantumResult& r) {
+    std::cout << r.name << ": minimum quanta at P = " << cmd.req.period
+              << ", " << to_string(cmd.req.alg) << " ("
+              << provenance_note(r.prov) << ")\n";
+    Table t({"q_ft", "q_fs", "q_nf", "margin"});
+    t.row()
+        .cell(r.mode_quantum[0], 4)
+        .cell(r.mode_quantum[1], 4)
+        .cell(r.mode_quantum[2], 4)
+        .cell(r.margin, 4);
+    print_table(t, cmd.opts);
+    return 0;
+  });
 }
 
 // --- sweep ----------------------------------------------------------------
 
-/// One entry's complete journal block: sample rows (ok entries only) then
-/// the terminal sweep row, wall-free (resume byte-identity needs
-/// deterministic rows). Error/quarantined entries journal as a lone
-/// terminal error row -- the fleet carries on.
-std::string sweep_block(const svc::RegionSweepResult& r, hier::Scheduler alg) {
-  std::string out;
-  if (r.ok()) {
-    for (const core::RegionSample& s : r.samples) {
-      out += svc::sweep_sample_row(r, alg, s).str();
-      out += '\n';
-    }
-  }
-  out += svc::sweep_summary_row(r, alg, /*with_wall=*/false).str();
-  out += '\n';
-  return out;
-}
-
-int cmd_sweep(const std::vector<std::string>& argv_rest) {
-  CommonOpts common;
-  core::SearchOptions search;
-  search.p_min = 0.05;
-  search.p_max = 3.5;
-  search.grid_step = 0.05;
-  ArgVec av(argv_rest);
-  const int argc = av.argc();
-  char** raw = av.argv();
-  for (int i = 0; i < argc; ++i) {
-    const std::string a = raw[i];
-    const int c = parse_common_flag(common, argc, raw, i);
-    if (c == 0) continue;
-    if (c == 2) return usage();
-    const auto next = [&]() -> const char* {
-      return i + 1 < argc ? raw[++i] : nullptr;
-    };
-    if (a == "--p-min") {
-      const char* v = next();
-      if (!v) return usage();
-      search.p_min = parse_num("--p-min", v);
-    } else if (a == "--p-max") {
-      const char* v = next();
-      if (!v) return usage();
-      search.p_max = parse_num("--p-max", v);
-    } else if (a == "--step") {
-      const char* v = next();
-      if (!v) return usage();
-      search.grid_step = parse_num("--step", v);
-    } else if (!a.empty() && a[0] != '-') {
-      common.files.push_back(a);
-    } else {
-      return usage();
-    }
-  }
-  if (common.files.empty() || !common.finish_journal_flags()) return usage();
+int cmd_sweep(const std::vector<std::string>& rest) {
+  std::vector<std::string> files;
+  auto cmd = proto::parse_sweep(rest, {.files = &files});
+  if (files.empty() || !cmd.opts.finish_journal_flags()) return usage();
 
   svc::AnalysisService service;
-  load_fleet(service, common.files);
-  const svc::RegionSweepRequest req{common.alg, search, common.accuracy()};
-
-  if (common.journaled()) {
-    svc::Journal journal(common.output);
-    int rc = 0;
-    const auto terminal = [](std::string_view row) {
-      return svc::json_string_field(row, "kind").value_or("") == "sweep";
-    };
-    const svc::JournalStats stats = svc::run_journaled(
-        journal, service.size(), signal_aware_journal_options(common),
-        terminal,
-        [&](std::string_view row) {
-          rc = std::max(rc, journal_row_rc(row, /*errors_are_failures=*/true));
-        },
+  load_fleet(service, files);
+  const svc::RegionSweepRequest& req = cmd.req;
+  if (cmd.opts.journaled()) {
+    // Error and quarantined entries journal as a lone terminal error row:
+    // the fleet carries on.
+    return run_journal(
+        service.size(), cmd.opts, "sweep", /*errors_are_failures=*/true,
         [&](std::size_t i) { return service.region_sweep_one(i, req); },
-        [&](const svc::RegionSweepResult& r) {
-          if (r.prov.quarantined) {
-            rc = std::max(rc, 3);
-          } else if (!r.ok()) {
-            rc = std::max(rc, 1);
-          }
-          return sweep_block(r, common.alg);
+        [&](svc::JsonlWriter& w, const svc::RegionSweepResult& r) {
+          return proto::emit(w, r, req, /*with_wall=*/false);
         });
-    return finish_journaled(stats, common.output, rc);
   }
 
-  // Streamed runs flush whole rows so a killed sweep leaves at most one
-  // partial final line; buffered runs keep normal ostream buffering.
-  svc::JsonlWriter out(std::cout, /*flush_per_row=*/common.stream);
-  const auto print_result = [&](const svc::RegionSweepResult& r) {
-    if (!r.ok()) throw ModelError(r.error);
-    if (common.jsonl) {
-      for (const core::RegionSample& s : r.samples) {
-        out.write(svc::sweep_sample_row(r, common.alg, s));
-      }
-      out.write(svc::sweep_summary_row(r, common.alg,
-                                       /*with_wall=*/!common.no_wall));
-    } else {
-      std::cout << r.name << ": lhs(P) over [" << search.p_min << ", "
-                << search.p_max << "], " << to_string(common.alg) << " ("
-                << provenance_note(r.prov) << ")\n";
-      Table t({"P", "margin"});
-      for (const core::RegionSample& s : r.samples) {
-        t.row().cell(s.period, 3).cell(s.margin, 4);
-      }
-      common.csv ? t.print_csv(std::cout) : t.print(std::cout);
+  return report(service, cmd, [&](const svc::RegionSweepResult& r) {
+    std::cout << r.name << ": lhs(P) over [" << req.search.p_min << ", "
+              << req.search.p_max << "], " << to_string(req.alg) << " ("
+              << provenance_note(r.prov) << ")\n";
+    Table t({"P", "margin"});
+    for (const core::RegionSample& s : r.samples) {
+      t.row().cell(s.period, 3).cell(s.margin, 4);
     }
-  };
-
-  if (common.stream) {
-    // Each entry's rows go out as its sweep finishes; the reassembly
-    // buffer keeps the file order identical to the buffered path.
-    service.region_sweep(req, print_result);
+    print_table(t, cmd.opts);
     return 0;
-  }
-  for (const svc::RegionSweepResult& r : service.region_sweep(req)) {
-    print_result(r);
-  }
-  return 0;
+  });
 }
 
 // --- verify ---------------------------------------------------------------
 
-int cmd_verify(const std::vector<std::string>& argv_rest) {
-  CommonOpts common;
-  double period = 0.0;
-  double q_ft = 0.0, q_fs = 0.0, q_nf = 0.0;
-  bool have_quanta = false;
-  bool exact_supply = false;
-  ArgVec av(argv_rest);
-  const int argc = av.argc();
-  char** raw = av.argv();
-  for (int i = 0; i < argc; ++i) {
-    const std::string a = raw[i];
-    const int c = parse_common_flag(common, argc, raw, i);
-    if (c == 0) continue;
-    if (c == 2) return usage();
-    const auto next = [&]() -> const char* {
-      return i + 1 < argc ? raw[++i] : nullptr;
-    };
-    if (a == "--period") {
-      const char* v = next();
-      if (!v) return usage();
-      period = parse_num("--period", v);
-    } else if (a == "--quanta") {
-      const char* v = next();
-      if (!v || !parse_triple(v, q_ft, q_fs, q_nf)) return usage();
-      have_quanta = true;
-    } else if (a == "--exact-supply") {
-      exact_supply = true;
-    } else if (!a.empty() && a[0] != '-') {
-      common.files.push_back(a);
-    } else {
-      return usage();
-    }
-  }
-  if (common.files.empty() || period <= 0.0 || !have_quanta) return usage();
-  if (common.journaled() || !common.finish_journal_flags()) return usage();
-
-  core::ModeSchedule schedule;
-  schedule.period = period;
-  schedule.ft = {q_ft, common.overheads.ft};
-  schedule.fs = {q_fs, common.overheads.fs};
-  schedule.nf = {q_nf, common.overheads.nf};
+int cmd_verify(const std::vector<std::string>& rest) {
+  std::vector<std::string> files;
+  auto cmd = proto::parse_verify(rest, {.files = &files});
+  if (!plain_run(files, cmd.opts)) return usage();
 
   svc::AnalysisService service;
-  load_fleet(service, common.files);
-  const std::vector<svc::VerifyResult> results =
-      service.verify({common.alg, schedule, exact_supply, common.accuracy()});
-
-  int rc = 0;
-  for (const svc::VerifyResult& r : results) {
-    if (!r.ok()) throw ModelError(r.error);
-    if (common.jsonl) {
-      std::cout << svc::verify_row(r, common.alg, period,
-                                   /*with_wall=*/!common.no_wall)
-                       .str()
-                << "\n";
-    } else {
-      std::cout << r.name << ": "
-                << (r.schedulable ? "schedulable" : "NOT schedulable") << " ("
-                << provenance_note(r.prov) << ")\n";
-    }
-    if (!r.schedulable) rc = 1;
-  }
-  return rc;
+  load_fleet(service, files);
+  return report(service, cmd, [](const svc::VerifyResult& r) {
+    std::cout << r.name << ": "
+              << (r.schedulable ? "schedulable" : "NOT schedulable") << " ("
+              << provenance_note(r.prov) << ")\n";
+    return r.schedulable ? 0 : 1;
+  });
 }
 
 // --- fault-sweep ----------------------------------------------------------
 
-std::string fault_sweep_block(const svc::FaultSweepResult& r,
-                              hier::Scheduler alg, bool with_baselines) {
-  std::string out;
-  if (r.ok()) {
-    for (const svc::FaultRatePoint& p : r.points) {
-      out += svc::fault_point_row(r, p, alg, with_baselines).str();
-      out += '\n';
+int print_fault_sweep_human(const svc::FaultSweepResult& r,
+                            const proto::Command<svc::FaultSweepRequest>& cmd) {
+  const svc::FaultSweepRequest& req = cmd.req;
+  if (!r.ok()) {
+    std::cout << r.name << ": error: " << r.error << "\n";
+    return 1;
+  }
+  if (!r.feasible) {
+    std::cout << r.name << ": infeasible: " << r.infeasible << "\n";
+    return 1;
+  }
+  std::cout << r.name << ": nominal design P = " << r.schedule.period << " ("
+            << to_string(req.alg) << ", " << provenance_note(r.prov) << ")\n";
+  std::vector<std::string> head = {"rate",  "recovery_gap", "ft_ok",
+                                   "fs_ok", "nf_ok",        "nf_exposure"};
+  if (req.with_baselines) {
+    head.insert(head.end(),
+                {"pb_ok", "static_ft_ok", "static_fs_ok", "static_nf_ok"});
+  }
+  Table t(head);
+  const auto mark = [](bool ok) { return ok ? "yes" : "NO"; };
+  for (const svc::FaultRatePoint& p : r.points) {
+    t.row().cell(p.rate, 4);
+    if (std::isinf(p.recovery_gap)) {
+      t.cell("inf");
+    } else {
+      t.cell(p.recovery_gap, 3);
+    }
+    t.cell(mark(p.ft_ok))
+        .cell(mark(p.fs_ok))
+        .cell(mark(p.nf_ok))
+        .cell(p.nf_exposure, 6);
+    if (req.with_baselines) {
+      t.cell(mark(p.pb_ok))
+          .cell(mark(p.static_ft_ok))
+          .cell(mark(p.static_fs_ok))
+          .cell(mark(p.static_nf_ok));
     }
   }
-  out += svc::fault_sweep_summary_row(r, alg).str();
-  out += '\n';
-  return out;
+  print_table(t, cmd.opts);
+  return 0;
 }
 
-int cmd_fault_sweep(const std::vector<std::string>& argv_rest) {
-  CommonOpts common;
-  common.overheads = {0.05 / 3, 0.05 / 3, 0.05 / 3};  // paper's O_tot = 0.05
+int cmd_fault_sweep(const std::vector<std::string>& rest) {
+  std::vector<std::string> files;
   core::StudyOptions study;
   study.trials = 0;  // 0 = no generated fleet (task files expected)
-  svc::FaultSweepRequest req;
-  req.rates = {0.0, 1e-3, 1e-2, 0.1, 1.0};
-  ArgVec av(argv_rest);
-  const int argc = av.argc();
-  char** raw = av.argv();
-  for (int i = 0; i < argc; ++i) {
-    const std::string a = raw[i];
-    const int c = parse_common_flag(common, argc, raw, i);
-    if (c == 0) continue;
-    if (c == 2) return usage();
-    if (core::parse_study_flag(study, argc, raw, i)) continue;
-    const auto next = [&]() -> const char* {
-      return i + 1 < argc ? raw[++i] : nullptr;
-    };
-    if (a == "--rates") {
-      const char* v = next();
-      if (!v) return usage();
-      req.rates = parse_num_list("--rates", v);
-    } else if (a == "--min-sep") {
-      const char* v = next();
-      if (!v) return usage();
-      req.min_separation = parse_num("--min-sep", v);
-    } else if (a == "--no-baselines") {
-      req.with_baselines = false;
-    } else if (a == "--exact-supply") {
-      req.use_exact_supply = true;
-    } else if (!a.empty() && a[0] != '-') {
-      common.files.push_back(a);
-    } else {
-      return usage();
-    }
-  }
-  if (common.files.empty() == (study.trials == 0)) {
+  auto cmd = proto::parse_fault_sweep(rest, {.files = &files, .gen = &study});
+  if (files.empty() == (study.trials == 0)) {
     return usage();  // exactly one fleet source: task files xor --trials
   }
-  if (!common.finish_journal_flags()) return usage();
+  if (!cmd.opts.finish_journal_flags()) return usage();
 
   svc::AnalysisService service;
   if (study.trials > 0) {
     service.add_fleet(study, [](std::size_t, Rng& rng) {
       return gen::study_system(rng);
     });
-    req.search.grid_step = 5e-3;  // cmd_study's generated-fleet search grid
-    req.search.p_max = 10.0;
+    cmd.req.search = proto::generated_fleet_search();
   } else {
-    load_fleet(service, common.files);
+    load_fleet(service, files);
   }
-  req.alg = common.alg;
-  req.overheads = common.overheads;
-  req.goal = common.goal;
-  req.accuracy = common.accuracy();
-
-  if (common.journaled()) {
-    svc::Journal journal(common.output);
-    int rc = 0;
-    const auto terminal = [](std::string_view row) {
-      return svc::json_string_field(row, "kind").value_or("") == "fault_sweep";
-    };
-    const svc::JournalStats stats = svc::run_journaled(
-        journal, service.size(), signal_aware_journal_options(common),
-        terminal,
-        [&](std::string_view row) {
-          rc = std::max(rc, journal_row_rc(row, /*errors_are_failures=*/true));
-        },
+  const svc::FaultSweepRequest& req = cmd.req;
+  if (cmd.opts.journaled()) {
+    return run_journal(
+        service.size(), cmd.opts, "fault_sweep", /*errors_are_failures=*/true,
         [&](std::size_t i) { return service.fault_sweep_one(i, req); },
-        [&](const svc::FaultSweepResult& r) {
-          if (r.prov.quarantined) {
-            rc = std::max(rc, 3);
-          } else if (!r.ok() || !r.feasible) {
-            rc = std::max(rc, 1);
-          }
-          return fault_sweep_block(r, common.alg, req.with_baselines);
+        [&](svc::JsonlWriter& w, const svc::FaultSweepResult& r) {
+          return proto::emit(w, r, req, /*with_wall=*/false);
         });
-    return finish_journaled(stats, common.output, rc);
   }
-
-  svc::JsonlWriter out(std::cout, /*flush_per_row=*/common.stream);
-  int rc = 0;
-  const auto print_result = [&](const svc::FaultSweepResult& r) {
-    if (common.jsonl) {
-      if (!r.ok()) {
-        // Error entries emit their one summary row only: a partially
-        // computed points vector must not masquerade as sweep output.
-        out.write(svc::fault_sweep_summary_row(r, common.alg));
-        rc = std::max(rc, 1);
-        return;
-      }
-      for (const svc::FaultRatePoint& p : r.points) {
-        out.write(svc::fault_point_row(r, p, common.alg, req.with_baselines));
-      }
-      if (!r.feasible) rc = std::max(rc, 1);
-      out.write(svc::fault_sweep_summary_row(r, common.alg));
-      return;
-    }
-    if (!r.ok()) {
-      std::cout << r.name << ": error: " << r.error << "\n";
-      rc = std::max(rc, 1);
-      return;
-    }
-    if (!r.feasible) {
-      std::cout << r.name << ": infeasible: " << r.infeasible << "\n";
-      rc = std::max(rc, 1);
-      return;
-    }
-    std::cout << r.name << ": nominal design P = " << r.schedule.period
-              << " (" << to_string(common.alg) << ", "
-              << provenance_note(r.prov) << ")\n";
-    std::vector<std::string> head = {"rate", "recovery_gap", "ft_ok",
-                                     "fs_ok", "nf_ok", "nf_exposure"};
-    if (req.with_baselines) {
-      head.insert(head.end(),
-                  {"pb_ok", "static_ft_ok", "static_fs_ok", "static_nf_ok"});
-    }
-    Table t(head);
-    const auto mark = [](bool ok) { return ok ? "yes" : "NO"; };
-    for (const svc::FaultRatePoint& p : r.points) {
-      t.row().cell(p.rate, 4);
-      if (std::isinf(p.recovery_gap)) {
-        t.cell("inf");
-      } else {
-        t.cell(p.recovery_gap, 3);
-      }
-      t.cell(mark(p.ft_ok))
-          .cell(mark(p.fs_ok))
-          .cell(mark(p.nf_ok))
-          .cell(p.nf_exposure, 6);
-      if (req.with_baselines) {
-        t.cell(mark(p.pb_ok))
-            .cell(mark(p.static_ft_ok))
-            .cell(mark(p.static_fs_ok))
-            .cell(mark(p.static_nf_ok));
-      }
-    }
-    common.csv ? t.print_csv(std::cout) : t.print(std::cout);
-  };
-
-  if (common.stream) {
-    service.fault_sweep(req, print_result);
-    return rc;
-  }
-  for (const svc::FaultSweepResult& r : service.fault_sweep(req)) {
-    print_result(r);
-  }
-  return rc;
+  return report(service, cmd, [&](const svc::FaultSweepResult& r) {
+    return print_fault_sweep_human(r, cmd);
+  });
 }
 
 // --- study / merge --------------------------------------------------------
 
-int cmd_study(const std::vector<std::string>& argv_rest) {
-  CommonOpts common;
-  common.overheads = {0.05 / 3, 0.05 / 3, 0.05 / 3};  // paper's O_tot = 0.05
-  core::StudyOptions study;
-  study.trials = 100;
-  study.base_seed = 0x5EED;
-  ArgVec av(argv_rest);
-  const int argc = av.argc();
-  char** raw = av.argv();
-  for (int i = 0; i < argc; ++i) {
-    const int c = parse_common_flag(common, argc, raw, i);
-    if (c == 0) continue;
-    if (c == 2) return usage();
-    if (core::parse_study_flag(study, argc, raw, i)) continue;
-    return usage();
-  }
-  if (!common.finish_journal_flags()) return usage();
+int cmd_study(const std::vector<std::string>& rest) {
+  std::vector<std::string> files;
+  core::StudyOptions study;  // trials=100, seed=0x5EED -- the study defaults
+  auto cmd = proto::parse_study(rest, {.files = &files, .gen = &study});
+  if (!files.empty() || !cmd.opts.finish_journal_flags()) return usage();
 
   svc::AnalysisService service;
   service.add_fleet(study, [](std::size_t, Rng& rng) {
     return gen::study_system(rng);
   });
+  const svc::SolveRequest& req = cmd.req;
+  // Shards emit rows only; the merged/unsharded report owns the summary.
+  const bool summary = study.shard.count == 1;
+  svc::StudyAggregate agg;
 
-  core::SearchOptions search;
-  search.grid_step = 5e-3;
-  search.p_max = 10.0;
-  const svc::SolveRequest req{common.alg, common.overheads, common.goal,
-                              search, common.accuracy()};
-
-  if (common.journaled()) {
-    svc::Journal journal(common.output);
-    svc::StudyAggregate agg;
-    int rc = 0;
-    const auto terminal = [](std::string_view row) {
-      return svc::json_string_field(row, "kind").value_or("") == "study_trial";
-    };
+  if (cmd.opts.journaled()) {
     // An unsharded journal carries the summary row as its epilogue --
     // deliberately non-terminal, so a crash after it but before the rename
     // truncates it away on resume and the recomputed aggregate re-emits it.
     std::function<std::string()> epilogue;
-    if (study.shard.count == 1) {
-      epilogue = [&agg] { return agg.summary_row() + "\n"; };
-    }
-    const svc::JournalStats stats = svc::run_journaled(
-        journal, service.size(), signal_aware_journal_options(common),
-        terminal,
-        [&](std::string_view row) {
-          if (svc::json_string_field(row, "kind").value_or("") !=
-              "study_trial") {
-            return;  // a committed file's summary row: not a trial
-          }
-          agg.add(row);
-          rc = std::max(rc, journal_row_rc(row, /*errors_are_failures=*/false));
-        },
+    if (summary) epilogue = [&agg] { return agg.summary_row() + "\n"; };
+    return run_journal(
+        service.size(), cmd.opts, "study_trial",
+        /*errors_are_failures=*/false,
         [&](std::size_t i) { return service.solve_one(i, req); },
-        [&](const svc::SolveResult& r) {
-          const std::string row =
-              svc::study_trial_row(r, common.alg, common.goal);
-          agg.add(row);
-          if (r.prov.quarantined) rc = std::max(rc, 3);
-          return row + "\n";
+        [&](svc::JsonlWriter& w, const svc::SolveResult& r) {
+          return proto::emit_study_trial(w, r, req, agg);
+        },
+        [&](std::string_view row) {
+          // A committed file's summary row is not a trial.
+          if (svc::json_string_field(row, "kind").value_or("") ==
+              "study_trial") {
+            agg.add(row);
+          }
         },
         epilogue);
-    return finish_journaled(stats, common.output, rc);
   }
 
-  if (common.jsonl) {
-    // Rows and summary are identical whether buffered or streamed: the
-    // streaming sink renders/aggregates each row in entry order, and the
-    // buffered path funnels through the same sink. Shards emit rows only;
-    // the merged/unsharded report owns the summary. Per-row flushing is
-    // reserved for --stream (kill-safety); buffered runs stay buffered.
-    svc::JsonlWriter out(std::cout, /*flush_per_row=*/common.stream);
-    svc::StudyAggregate agg;
-    const auto sink = [&](const svc::SolveResult& r) {
-      const std::string row = svc::study_trial_row(r, common.alg, common.goal);
-      out.write(row);
-      agg.add(row);
-    };
-    if (common.stream) {
-      service.solve(req, sink);
+  svc::JsonlWriter out(std::cout, /*flush_per_row=*/cmd.opts.stream);
+  service.solve(req, [&](const svc::SolveResult& r) {
+    if (cmd.opts.jsonl) {
+      proto::emit_study_trial(out, r, req, agg);
     } else {
-      for (const svc::SolveResult& r : service.solve(req)) sink(r);
+      agg.add(svc::study_trial_row(r, req.alg, req.goal));  // table only
     }
-    if (study.shard.count == 1) out.write(agg.summary_row());
+  });
+  if (cmd.opts.jsonl) {
+    if (summary) out.write(agg.summary_row());
     return 0;
   }
 
-  std::size_t done = 0, packed = 0, feasible = 0;
-  double sum_period = 0.0, sum_slack = 0.0;
-  const auto tally = [&](const svc::SolveResult& r) {
-    ++done;
-    packed += r.ok() ? 1 : 0;
-    if (r.ok() && r.feasible) {
-      ++feasible;
-      sum_period += r.design.schedule.period;
-      sum_slack += r.design.schedule.slack_bandwidth();
-    }
-  };
-  if (common.stream) {
-    service.solve(req, tally);  // aggregates only: bounded memory
-  } else {
-    for (const svc::SolveResult& r : service.solve(req)) tally(r);
-  }
-
-  std::cout << "study: " << done << " of " << study.trials
+  std::cout << "study: " << agg.trials() << " of " << study.trials
             << " trials (shard " << study.shard.index + 1 << "/"
             << study.shard.count << ", seed 0x" << std::hex << study.base_seed
-            << std::dec << "), " << to_string(common.alg) << ", "
-            << to_string(common.goal) << ", O_tot "
-            << common.overheads.total() << "\n\n";
+            << std::dec << "), " << to_string(req.alg) << ", "
+            << to_string(req.goal) << ", O_tot " << req.overheads.total()
+            << "\n\n";
   Table t({"trials", "packed", "feasible", "sum_period", "mean_period",
            "sum_slack_bw"});
+  const std::size_t feasible = agg.feasible();
   t.row()
-      .cell(done)
-      .cell(packed)
+      .cell(agg.trials())
+      .cell(agg.packed())
       .cell(feasible)
-      .cell(sum_period, 3)
-      .cell(feasible ? sum_period / static_cast<double>(feasible) : 0.0, 3)
-      .cell(sum_slack, 3);
-  common.csv ? t.print_csv(std::cout) : t.print(std::cout);
+      .cell(agg.sum_period(), 3)
+      .cell(feasible ? agg.sum_period() / static_cast<double>(feasible) : 0.0,
+            3)
+      .cell(agg.sum_slack_bw(), 3);
+  print_table(t, cmd.opts);
   return 0;
 }
 
@@ -1010,57 +738,37 @@ int cmd_remote(const std::vector<std::string>& rest) {
   if (rest.size() < 2) return usage();
   const std::string& addr = rest[0];
   const std::string& sub = rest[1];
-  static const char* kSubs[] = {"solve", "sweep",       "verify", "minq",
-                                "study", "fault-sweep", "status"};
-  if (std::find_if(std::begin(kSubs), std::end(kSubs), [&](const char* s) {
-        return sub == s;
-      }) == std::end(kSubs)) {
+  const std::vector<std::string> args(rest.begin() + 2, rest.end());
+
+  // The subcommand's own parser splits the arguments three ways: study
+  // flags (become the wire gen-fleet command), task files (uploaded via
+  // `add`), and the command's flags with their values (forwarded to the
+  // wire request). A front-end-only flag fails here, naming the flag.
+  const bool study_cmd = (sub == "study");
+  core::StudyOptions study;  // trials=100, seed=0x5EED -- the study defaults
+  if (!study_cmd) study.trials = 0;  // 0 = no generated fleet requested
+  std::vector<std::string> files, fwd;
+  const proto::Front front{.files = &files, .gen = &study, .wire = &fwd};
+  CommonOpts opts;
+  if (sub == "solve") {
+    opts = proto::parse_solve(args, front).opts;
+  } else if (sub == "minq") {
+    opts = proto::parse_minq(args, front).opts;
+  } else if (sub == "sweep") {
+    opts = proto::parse_sweep(args, front).opts;
+  } else if (sub == "verify") {
+    opts = proto::parse_verify(args, front).opts;
+  } else if (sub == "fault-sweep") {
+    opts = proto::parse_fault_sweep(args, front).opts;
+  } else if (study_cmd) {
+    opts = proto::parse_study(args, front).opts;
+  } else if (sub == "status") {
+    fwd = args;  // status [--memo]: the wire validates it
+  } else {
     return usage();
   }
-  const std::vector<std::string> args(rest.begin() + 2, rest.end());
-  for (const std::string& a : args) {
-    for (const char* f :
-         {"--csv", "--output", "--resume", "--retries", "--fsync"}) {
-      if (a == f) {
-        throw ModelError("remote: " + a +
-                         " is offline-only (wire reports are plain JSONL)");
-      }
-    }
-  }
-
-  // Split the arguments three ways: study flags (become the wire gen-fleet
-  // command), bare tokens (task files, uploaded via `add`), and everything
-  // else (forwarded verbatim to the wire request).
-  core::StudyOptions study;
-  study.trials = 0;  // 0 = no generated fleet requested
-  std::vector<std::string> files, fwd;
-  {
-    ArgVec av(args);
-    const int argc = av.argc();
-    char** raw = av.argv();
-    for (int i = 0; i < argc; ++i) {
-      if (core::parse_study_flag(study, argc, raw, i)) continue;
-      const std::string a = raw[i];
-      if (!a.empty() && a[0] != '-') {
-        files.push_back(a);
-        continue;
-      }
-      fwd.push_back(a);
-      static const char* kValued[] = {
-          "--alg",    "--goal",  "--overhead", "--adaptive", "--budget",
-          "--budget-cap", "--deadline", "--period", "--quanta", "--p-min",
-          "--p-max",  "--step",  "--rates",    "--min-sep"};
-      for (const char* f : kValued) {
-        if (a == f && i + 1 < argc) {
-          fwd.push_back(raw[++i]);
-          break;
-        }
-      }
-    }
-  }
-  const bool study_cmd = (sub == "study");
+  proto::reject_offline_flags(opts);
   const bool gen_mode = study_cmd || study.trials > 0;
-  if (study_cmd && study.trials == 0) study.trials = 100;  // study default
   if (gen_mode && !files.empty()) {
     throw ModelError("remote " + sub +
                      ": task files and --trials are mutually exclusive");
@@ -1126,6 +834,7 @@ int main(int argc, char** argv) {
     const std::string cmd = all[0];
     std::vector<std::string> rest(all.begin() + 1, all.end());
     if (cmd == "solve") return cmd_solve(rest);
+    if (cmd == "minq") return cmd_minq(rest);
     if (cmd == "sweep") return cmd_sweep(rest);
     if (cmd == "verify") return cmd_verify(rest);
     if (cmd == "study") return cmd_study(rest);
