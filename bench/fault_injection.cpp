@@ -53,7 +53,7 @@ int main(int argc, char** argv) {
   req.overheads = {0.02, 0.02, 0.02};
   req.goal = core::DesignGoal::MaxSlackBandwidth;
   req.with_baselines = false;
-  const svc::FaultSweepResult sweep = service.fault_sweep_one(0, req);
+  const svc::FaultSweepResult sweep = service.run_one(0, req);
   if (!sweep.ok()) {
     std::cerr << "fault sweep failed: " << sweep.error << "\n";
     return 1;

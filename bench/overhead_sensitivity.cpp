@@ -121,9 +121,10 @@ int main(int argc, char** argv) {
       const std::size_t a = alg == hier::Scheduler::EDF ? 0 : 1;
       for (std::size_t k = 0; k < kOverheadMenu.size(); ++k) {
         const double o = kOverheadMenu[k];
-        const std::vector<svc::SolveResult> results = service.solve(
-            {alg, {o / 3, o / 3, o / 3},
-             core::DesignGoal::MinOverheadBandwidth, opts, {}});
+        const std::vector<svc::SolveResult> results =
+            service.run(svc::SolveRequest{
+                alg, {o / 3, o / 3, o / 3},
+                core::DesignGoal::MinOverheadBandwidth, opts, {}});
         for (const svc::SolveResult& r : results) {
           feasible[a][k] += r.ok() && r.feasible ? 1 : 0;
         }

@@ -124,12 +124,12 @@ int main(int argc, char** argv) {
   opts.grid_step = 2e-3;
   opts.p_max = 10.0;
   const core::Overheads ov{o_tot, 0.0, 0.0};
-  const std::vector<svc::SolveResult> g1 = service.solve(
-      {hier::Scheduler::EDF, ov, core::DesignGoal::MinOverheadBandwidth, opts,
-       {}});
-  const std::vector<svc::SolveResult> g2 = service.solve(
-      {hier::Scheduler::EDF, ov, core::DesignGoal::MaxSlackBandwidth, opts,
-       {}});
+  const std::vector<svc::SolveResult> g1 = service.run(svc::SolveRequest{
+      hier::Scheduler::EDF, ov, core::DesignGoal::MinOverheadBandwidth, opts,
+      {}});
+  const std::vector<svc::SolveResult> g2 = service.run(svc::SolveRequest{
+      hier::Scheduler::EDF, ov, core::DesignGoal::MaxSlackBandwidth, opts,
+      {}});
 
   const std::size_t per_heuristic = service.size() / kHeuristics.size();
   const auto [begin, end] = core::shard_range(study.trials, study.shard);

@@ -6,8 +6,9 @@
 #include <cstddef>
 #include <exception>
 #include <functional>
-#include <map>
+#include <memory>
 #include <optional>
+#include <thread>
 #include <type_traits>
 #include <utility>
 
@@ -54,10 +55,10 @@ std::size_t thread_count() noexcept;
 ///    small to amortize the handoff run serially inline -- callers never
 ///    need to special-case either.
 ///
-/// This is the fleet and trial runner: one iteration per fleet entry
-/// (svc::AnalysisService), study trial (core::run_study) or journaled entry
-/// (svc::run_journaled, through ordered_stream). The analysis of one system
-/// (analysis::BatchEngine) runs serially inside an iteration, so
+/// This is the fleet runner: one iteration per fleet entry, through
+/// ordered_stream, for svc::AnalysisService::run (generated study trials
+/// are fleet entries too) and svc::run_journaled. The analysis of one
+/// system (analysis::BatchEngine) runs serially inside an iteration, so
 /// parallelism has exactly one level.
 void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
 
@@ -79,14 +80,18 @@ std::size_t default_stream_window() noexcept;
 /// The head index (next_emit) is always held by a worker that is past the
 /// gate, so the stream always progresses for any window >= 1.
 ///
-/// emit runs under the stream lock: exactly one emission at a time, in
-/// order -- safe to write an ostream from. An exception thrown by make(i)
-/// drops that index from the stream and is rethrown (first one wins) after
-/// the loop drains; exceptions from emit propagate the same way. A make(i)
-/// that merely *stalls* (finite delay) never wedges the gate: entries past
-/// i + window wait, buffering stays <= window, and the stream resumes the
-/// moment the stalled entry completes -- the fault-injection executor tests
-/// pin this down. (Callers that must never lose an entry to an exception --
+/// Emission is serialized: a finished index lands in its slot of a
+/// `window`-slot ring, and whichever worker then wins the emitter flag
+/// emits every finished index at the head, in order -- exactly one
+/// emission at a time, safe to write an ostream from. No lock is taken on
+/// that path; only a worker held at the gate sleeps on a condition
+/// variable. An exception thrown by make(i) drops that index from the
+/// stream and is rethrown (first one wins) after the loop drains;
+/// exceptions from emit propagate the same way. A make(i) that merely
+/// *stalls* (finite delay) never wedges the gate: entries past i + window
+/// wait, buffering stays <= window, and the stream resumes the moment the
+/// stalled entry completes -- the fault-injection executor tests pin this
+/// down. (Callers that must never lose an entry to an exception --
 /// svc::AnalysisService -- catch inside make and return an error-valued
 /// result instead.)
 ///
@@ -96,62 +101,96 @@ template <typename Make, typename Emit>
 std::size_t ordered_stream(std::size_t n, std::size_t window, Make&& make,
                            Emit&& emit) {
   using Value = std::invoke_result_t<Make&, std::size_t>;
+  if (n == 0) return 0;
   if (window == 0) window = default_stream_window();
+  window = std::min(window, n);
+  // Index k sits in slot k % window from its completion to its emission;
+  // the gate keeps every index in flight inside [next_emit, next_emit +
+  // window), so no two of them share a slot.
   struct Slot {
     std::optional<Value> value;
     std::exception_ptr error;
+    std::atomic<bool> ready{false};
   };
-  // The reassembly state lives in one struct so every member carries an
-  // explicit GUARDED_BY contract on the stream mutex -- the thread-safety
-  // analysis then proves no worker touches the buffer or the emission
-  // cursor outside the critical sections below.
-  struct State {
-    sys::Mutex mu;
-    sys::CondVar gate;
-    std::map<std::size_t, Slot> pending GUARDED_BY(mu);
-    std::size_t next_emit GUARDED_BY(mu) = 0;
-    std::size_t high_water GUARDED_BY(mu) = 0;
-    std::exception_ptr first_error GUARDED_BY(mu);
-  };
-  State st;
+  const std::unique_ptr<Slot[]> ring(new Slot[window]);
   std::atomic<std::size_t> ticket{0};
+  std::atomic<std::size_t> next_emit{0};  ///< advanced only by the emitter
+  std::atomic<bool> emitting{false};      ///< held by the one emitter
+  std::atomic<std::size_t> buffered{0};   ///< finished, not yet emitted
+  std::atomic<std::size_t> high_water{0};
+  std::atomic<std::size_t> waiting{0};    ///< workers asleep at the gate
+  std::exception_ptr first_error;  ///< touched only by the flag holder
+  sys::Mutex gate_mu;
+  sys::CondVar gate;
+
+  // Emits every finished index at the head, in order, while holding the
+  // emitter flag. A head slot that turns ready while another worker holds
+  // the flag is picked up by that worker's re-check after it lets go.
+  const auto drain = [&] {
+    while (!emitting.exchange(true)) {
+      const std::size_t first = next_emit.load(std::memory_order_relaxed);
+      std::size_t k = first;
+      for (; k < n && ring[k % window].ready.load(); ++k) {
+        Slot& slot = ring[k % window];
+        if (slot.error) {
+          if (!first_error) first_error = slot.error;
+        } else if (!first_error) {
+          try {
+            emit(k, std::move(*slot.value));
+          } catch (...) {
+            first_error = std::current_exception();
+          }
+        }
+        slot.value.reset();
+        slot.error = nullptr;
+        slot.ready.store(false, std::memory_order_relaxed);
+        buffered.fetch_sub(1, std::memory_order_relaxed);
+        next_emit.store(k + 1);  // frees the slot for index k + window
+      }
+      emitting.store(false);
+      if (k != first && waiting.load() > 0) {
+        sys::MutexLock lock(gate_mu);
+        gate.notify_all();
+      }
+      if (k >= n || !ring[k % window].ready.load()) return;
+    }
+  };
+
   parallel_for(n, [&](std::size_t) {
     const std::size_t i = ticket.fetch_add(1, std::memory_order_relaxed);
-    {
-      sys::MutexLock lock(st.mu);
-      while (i >= st.next_emit + window) st.gate.wait(st.mu);
+    const auto gated = [&] { return i >= next_emit.load() + window; };
+    // A gated worker first yields for a while: the emitter is usually
+    // draining, and a sleep/wake round trip costs more than a short entry.
+    for (int spin = 0; spin < 64 && gated(); ++spin) std::this_thread::yield();
+    if (gated()) {
+      sys::MutexLock lock(gate_mu);
+      waiting.fetch_add(1);
+      while (gated()) gate.wait(gate_mu);
+      waiting.fetch_sub(1);
     }
-    Slot slot;
+    Slot& slot = ring[i % window];
     try {
       slot.value.emplace(make(i));
     } catch (...) {
-      // The slot must still complete -- a lost ticket would stall the
+      // The slot must still complete -- a lost index would stall the
       // stream head and deadlock the gated workers behind it.
       slot.error = std::current_exception();
     }
-    sys::MutexLock lock(st.mu);
-    st.pending.emplace(i, std::move(slot));
-    st.high_water = std::max(st.high_water, st.pending.size());
-    while (!st.pending.empty() && st.pending.begin()->first == st.next_emit) {
-      auto node = st.pending.extract(st.pending.begin());
-      ++st.next_emit;
-      if (node.mapped().error) {
-        if (!st.first_error) st.first_error = node.mapped().error;
-      } else if (!st.first_error) {
-        try {
-          emit(st.next_emit - 1, std::move(*node.mapped().value));
-        } catch (...) {
-          st.first_error = std::current_exception();
-        }
-      }
+    const std::size_t now = buffered.fetch_add(1, std::memory_order_relaxed) + 1;
+    std::size_t peak = high_water.load(std::memory_order_relaxed);
+    while (now > peak && !high_water.compare_exchange_weak(
+                             peak, now, std::memory_order_relaxed)) {
     }
-    st.gate.notify_all();
+    slot.ready.store(true);
+    // Only the head needs to start an emitter: the emitter that later
+    // advances next_emit to i finds this slot ready (both sides are
+    // seq_cst, so at least one of them sees the other's store).
+    if (next_emit.load() == i) drain();
   });
-  // parallel_for has drained every worker: this thread is the only one
-  // left, but the contract is on the members, so read them under the lock.
-  sys::MutexLock lock(st.mu);
-  if (st.first_error) std::rethrow_exception(st.first_error);
-  return st.high_water;
+  // parallel_for has joined every worker, so the emitters' writes are
+  // visible here.
+  if (first_error) std::rethrow_exception(first_error);
+  return high_water.load(std::memory_order_relaxed);
 }
 
 }  // namespace flexrt::par

@@ -20,9 +20,8 @@ Design solve_design(const ModeTaskSystem& sys, hier::Scheduler alg,
   // SolveRequest at the fixed default accuracy (bit-for-bit the direct
   // engine path below, parity-tested). The service keeps one engine for
   // the period search and the three quantum queries.
-  const svc::OneShotService s(sys);
-  const svc::SolveResult r =
-      s.service.solve_one(0, {alg, overheads, goal, opts, {}});
+  const svc::SolveResult r = svc::AnalysisService(sys).run_one(
+      0, svc::SolveRequest{alg, overheads, goal, opts, {}});
   if (!r.ok()) throw ModelError(r.error);
   if (!r.feasible) throw InfeasibleError(r.infeasible);
   return r.design;

@@ -17,8 +17,6 @@ namespace flexrt::core {
 
 namespace {
 
-using svc::OneShotService;
-
 /// Results of answer-less entries carry the failure as a string; the free
 /// functions re-raise it as the ModelError it started as.
 template <typename Result>
@@ -44,41 +42,42 @@ double auto_period_bound(const ModeTaskSystem& sys) {
 double mode_min_quantum(const ModeTaskSystem& sys, rt::Mode mode,
                         hier::Scheduler alg, double period,
                         bool use_exact_supply) {
-  const OneShotService s(sys);
-  const svc::MinQuantumResult r = checked(
-      s.service.min_quantum_one(0, {alg, period, use_exact_supply, {}}));
+  const svc::MinQuantumResult r = checked(svc::AnalysisService(sys).run_one(
+      0, svc::MinQuantumRequest{alg, period, use_exact_supply, {}}));
   return r.mode_quantum[static_cast<std::size_t>(mode)];
 }
 
 double feasibility_margin(const ModeTaskSystem& sys, hier::Scheduler alg,
                           double period, bool use_exact_supply) {
-  const OneShotService s(sys);
-  return checked(
-             s.service.min_quantum_one(0, {alg, period, use_exact_supply, {}}))
+  return checked(svc::AnalysisService(sys).run_one(
+                     0, svc::MinQuantumRequest{alg, period, use_exact_supply,
+                                               {}}))
       .margin;
 }
 
 std::vector<RegionSample> sample_region(const ModeTaskSystem& sys,
                                         hier::Scheduler alg,
                                         const SearchOptions& opts) {
-  const OneShotService s(sys);
-  return checked(s.service.region_sweep_one(0, {alg, opts, {}})).samples;
+  return checked(svc::AnalysisService(sys).run_one(
+                     0, svc::RegionSweepRequest{alg, opts, {}}))
+      .samples;
 }
 
 double max_feasible_period(const ModeTaskSystem& sys, hier::Scheduler alg,
                            double o_tot, const SearchOptions& opts) {
-  return OneShotService(sys).service.engine(0, alg).max_feasible_period(o_tot, opts);
+  return svc::AnalysisService(sys).engine(0, alg).max_feasible_period(o_tot,
+                                                                      opts);
 }
 
 OverheadLimit max_admissible_overhead(const ModeTaskSystem& sys,
                                       hier::Scheduler alg,
                                       const SearchOptions& opts) {
-  return OneShotService(sys).service.engine(0, alg).max_admissible_overhead(opts);
+  return svc::AnalysisService(sys).engine(0, alg).max_admissible_overhead(opts);
 }
 
 SlackOptimum max_slack_period(const ModeTaskSystem& sys, hier::Scheduler alg,
                               double o_tot, const SearchOptions& opts) {
-  return OneShotService(sys).service.engine(0, alg).max_slack_period(o_tot, opts);
+  return svc::AnalysisService(sys).engine(0, alg).max_slack_period(o_tot, opts);
 }
 
 }  // namespace flexrt::core

@@ -13,8 +13,6 @@ namespace flexrt::core {
 // against the supply over cached points (see BatchEngine::ScaledProbe);
 // the service adds the fleet/accuracy front on top.
 
-using svc::OneShotService;
-
 double wcet_scale_margin(const ModeTaskSystem& sys,
                          const ModeSchedule& schedule, hier::Scheduler alg,
                          const std::string& task_name, double lambda_max,
@@ -26,8 +24,7 @@ double wcet_scale_margin(const ModeTaskSystem& sys,
   req.task = task_name;
   req.lambda_max = lambda_max;
   req.tolerance = tolerance;
-  const svc::SensitivityResult r =
-      OneShotService(sys).service.sensitivity_one(0, req);
+  const svc::SensitivityResult r = svc::AnalysisService(sys).run_one(0, req);
   if (!r.ok()) throw ModelError(r.error);
   return r.margins.at(0).scale_margin;
 }
@@ -41,8 +38,7 @@ std::vector<TaskMargin> sensitivity_report(const ModeTaskSystem& sys,
   req.schedule = schedule;
   req.include_global = false;
   req.lambda_max = lambda_max;
-  svc::SensitivityResult r =
-      OneShotService(sys).service.sensitivity_one(0, req);
+  svc::SensitivityResult r = svc::AnalysisService(sys).run_one(0, req);
   if (!r.ok()) throw ModelError(r.error);
   return std::move(r.margins);
 }
@@ -50,7 +46,7 @@ std::vector<TaskMargin> sensitivity_report(const ModeTaskSystem& sys,
 double global_scale_margin(const ModeTaskSystem& sys,
                            const ModeSchedule& schedule, hier::Scheduler alg,
                            double lambda_max, double tolerance) {
-  return OneShotService(sys).service.engine(0, alg).global_scale_margin(
+  return svc::AnalysisService(sys).engine(0, alg).global_scale_margin(
       schedule, lambda_max, tolerance);
 }
 

@@ -52,21 +52,17 @@ std::uint64_t parse_count(const char* flag, const char* text, int base) {
 bool parse_study_flag(StudyOptions& opts, int argc, char** argv, int& i,
                       const char* trials_flag) {
   const std::string arg = argv[i];
-  const bool has_value = i + 1 < argc;
-  if (arg == trials_flag && has_value) {
-    opts.trials =
-        static_cast<std::size_t>(parse_count(trials_flag, argv[++i], 10));
-    return true;
+  if (arg != trials_flag && arg != "--seed" && arg != "--shard") return false;
+  if (i + 1 >= argc) throw ModelError(arg + ": missing value");
+  const char* value = argv[++i];
+  if (arg == trials_flag) {
+    opts.trials = static_cast<std::size_t>(parse_count(trials_flag, value, 10));
+  } else if (arg == "--seed") {
+    opts.base_seed = parse_count("--seed", value, 0);
+  } else {
+    opts.shard = parse_shard(value);
   }
-  if (arg == "--seed" && has_value) {
-    opts.base_seed = parse_count("--seed", argv[++i], 0);
-    return true;
-  }
-  if (arg == "--shard" && has_value) {
-    opts.shard = parse_shard(argv[++i]);
-    return true;
-  }
-  return false;
+  return true;
 }
 
 Rng trial_rng(std::uint64_t base_seed, std::size_t index) noexcept {

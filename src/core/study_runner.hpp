@@ -4,9 +4,7 @@
 #include <cstdint>
 #include <string>
 #include <utility>
-#include <vector>
 
-#include "common/parallel.hpp"
 #include "common/rng.hpp"
 
 namespace flexrt::core {
@@ -43,64 +41,11 @@ struct StudyOptions {
 
 /// Consumes one study CLI flag at argv[i] into `opts`: `trials_flag` N
 /// (usually "--trials" or "--gen-trials"), "--seed" S, or "--shard" k/N.
-/// Returns true (and advances i past the value) when the flag matched, so
-/// the benches share one parsing convention instead of three copies.
+/// Returns true (and advances i past the value) when the flag matched and
+/// false for any other token, so the benches and the command parsers share
+/// one parsing convention. A matched flag with no value or a malformed one
+/// throws ModelError naming the flag.
 bool parse_study_flag(StudyOptions& opts, int argc, char** argv, int& i,
                       const char* trials_flag = "--trials");
-
-/// One shard's rows, indexed by global trial id starting at `begin`.
-template <typename Row>
-struct StudySlice {
-  std::size_t begin = 0;
-  std::vector<Row> rows;
-};
-
-/// Sharded study driver: partitions the global trial range across shard
-/// processes (ShardSpec) and, inside this process, across the
-/// par::parallel_for worker pool (FLEXRT_THREADS). `fn(global_index, rng)`
-/// produces one row; it runs concurrently for distinct trials, and each
-/// trial's rng comes from trial_rng, so the assembled study is
-/// deterministic under a fixed base seed regardless of shard layout or
-/// thread count. Row must be default-constructible (rows are written into
-/// a preallocated slice).
-template <typename Fn>
-auto run_study(const StudyOptions& opts, Fn&& fn)
-    -> StudySlice<decltype(fn(std::size_t{}, std::declval<Rng&>()))> {
-  using Row = decltype(fn(std::size_t{}, std::declval<Rng&>()));
-  const auto [begin, end] = shard_range(opts.trials, opts.shard);
-  StudySlice<Row> out;
-  out.begin = begin;
-  out.rows.resize(end - begin);
-  const std::size_t base = begin;  // structured bindings can't be captured
-  par::parallel_for(end - begin, [&, base](std::size_t i) {
-    Rng rng = trial_rng(opts.base_seed, base + i);
-    out.rows[i] = fn(base + i, rng);
-  });
-  return out;
-}
-
-/// Streaming twin of run_study: rows are handed to `emit(global_index,
-/// row)` in trial order as trials finish, through par::ordered_stream's
-/// bounded reorder buffer (window 0 = library default), instead of being
-/// buffered in a StudySlice. Same determinism contract as run_study -- the
-/// emitted sequence is exactly slice.rows in order -- with peak row memory
-/// O(window) rather than O(shard size), so a shard process can write its
-/// shard file directly however large its trial range is. Returns the
-/// reorder buffer's high-water mark.
-template <typename Fn, typename Emit>
-std::size_t run_study_stream(const StudyOptions& opts, Fn&& fn, Emit&& emit,
-                             std::size_t window = 0) {
-  const auto [begin, end] = shard_range(opts.trials, opts.shard);
-  const std::size_t base = begin;
-  return par::ordered_stream(
-      end - begin, window,
-      [&, base](std::size_t i) {
-        Rng rng = trial_rng(opts.base_seed, base + i);
-        return fn(base + i, rng);
-      },
-      [&, base](std::size_t i, auto&& row) {
-        emit(base + i, std::forward<decltype(row)>(row));
-      });
-}
 
 }  // namespace flexrt::core

@@ -619,7 +619,7 @@ int Session::cmd_study(const std::vector<std::string>& args) {
   if (!generated_) throw ModelError("solve --study needs a gen-fleet fleet");
   svc::JsonlWriter rows(out_);
   svc::StudyAggregate agg;
-  service_->solve(cmd.req, [&](const svc::SolveResult& r) {
+  service_->run(cmd.req, [&](const svc::SolveResult& r) {
     emit_study_trial(rows, r, cmd.req, agg);
   });
   // Shards emit rows only; the merged/unsharded report owns the summary.

@@ -69,7 +69,7 @@ namespace flexrt::net::proto {
 /// no-ops; --csv and the journal flags are rejected (they are offline
 /// concerns). Sessions are independent: each owns its fleet, while all of
 /// them share the process-wide par::parallel_for pool. Results stream to
-/// the client in entry order through the same svc ResultSink /
+/// the client in entry order through the same AnalysisService::run /
 /// par::ordered_stream path as every offline report, so per-client memory
 /// stays bounded by the reorder window, not the fleet size.
 
@@ -210,26 +210,18 @@ const Result& require_ok(const Result& r) {
   return r;
 }
 
-/// Runs one plain (unjournaled) request over the fleet through the
-/// service's streaming overload, handing each result to `sink` in entry
-/// order. A solve, minq, sweep or verify run fails whole on an error entry
-/// (the error is thrown: exit 2 / wire `error`); a fault-sweep's error
-/// entries reach the sink and render as error rows.
+/// Runs one plain (unjournaled) request over the fleet through
+/// AnalysisService::run, handing each result to `sink` in entry order. A
+/// fault-sweep's error entries reach the sink and render as error rows;
+/// every other request fails whole on an error entry (the error is thrown:
+/// exit 2 / wire `error`).
 template <typename Request, typename Sink>
 void run_plain(const svc::AnalysisService& s, const Request& req,
                const Sink& sink) {
-  const auto checked = [&](const auto& r) { sink(require_ok(r)); };
-  if constexpr (std::is_same_v<Request, svc::SolveRequest>) {
-    s.solve(req, checked);
-  } else if constexpr (std::is_same_v<Request, svc::MinQuantumRequest>) {
-    s.min_quantum(req, checked);
-  } else if constexpr (std::is_same_v<Request, svc::RegionSweepRequest>) {
-    s.region_sweep(req, checked);
-  } else if constexpr (std::is_same_v<Request, svc::VerifyRequest>) {
-    s.verify(req, checked);
+  if constexpr (std::is_same_v<Request, svc::FaultSweepRequest>) {
+    s.run(req, sink);
   } else {
-    static_assert(std::is_same_v<Request, svc::FaultSweepRequest>);
-    s.fault_sweep(req, sink);
+    s.run(req, [&](const auto& r) { sink(require_ok(r)); });
   }
 }
 

@@ -47,78 +47,9 @@ bool record_probe(const analysis::BatchEngine& eng, std::size_t round,
   return prov.dl_exact && prov.fp_exact;
 }
 
-/// Drives the accuracy ladder for one entry: probe at the initial budget,
-/// then (adaptive only) re-probe at doubled budgets until the answer is
-/// exact, stops moving (move <= tol), or the cap is reached. `move` returns
-/// the distance between consecutive answers; +inf means "not comparable,
-/// keep refining" (e.g. the feasibility verdict flipped).
-///
-/// Gap semantics: prov.gap is set only when the final answer is trustworthy
-/// at the requested accuracy -- 0 when the probe turned exact, the last
-/// inter-round move when the ladder converged (<= tol). A ladder that
-/// exhausts the budget cap while the answer is still moving reports
-/// nullopt: the last measured move bounds nothing about the distance to the
-/// exact answer, so reporting it as "the gap" would overstate the capped
-/// answer's accuracy.
-///
-/// Deadline semantics: an active pol.deadline is checked *after* the other
-/// stop conditions and only between rungs, so a ladder that would finish
-/// anyway reports its natural outcome, the first rung always completes
-/// (there is always an answer to degrade to), and a run overshoots its
-/// budget by at most one rung. Deadline degradation looks like a capped
-/// ladder (gap nullopt, answer == fixed(final budget) bit for bit) plus
-/// prov.degraded = true.
-///
-/// `notify(round)` fires at the start of every round, before the probe --
-/// the deterministic injection point the executor-hardening tests hook
-/// (AnalysisService::ProbeHook) to throw or stall at a chosen entry/round.
-template <typename Value, typename EngineAt, typename Probe, typename Move,
-          typename Notify>
-Value run_ladder(const EngineAt& engine_at, const AccuracyPolicy& pol,
-                 hier::Scheduler alg, const Probe& probe, const Move& move,
-                 const Notify& notify, Provenance& prov) {
-  const par::StopWatch clock;
-  std::size_t budget = resolve_budget(pol.initial_points, alg);
-  const std::size_t cap = std::max(budget, pol.max_points);
-  Value value{};
-  std::optional<Value> prev;
-  for (std::size_t round = 1;; ++round) {
-    notify(round);
-    // Pinned for the whole round: the bounded engine cache may evict
-    // concurrently, and the probe must outlive any eviction.
-    const std::shared_ptr<const analysis::BatchEngine> pinned =
-        engine_at(budget);
-    const analysis::BatchEngine& eng = *pinned;
-    value = probe(eng);
-    if (record_probe(eng, round, budget, prov)) {
-      prov.gap = 0.0;
-      break;
-    }
-    if (!pol.is_adaptive) {
-      prov.gap = std::nullopt;  // condensed one-shot: gap unknown
-      break;
-    }
-    if (prev) {
-      const double m = move(*prev, value);
-      if (m <= pol.tol) {
-        prov.gap = m;  // converged: the last move is the measured gap
-        break;
-      }
-    }
-    if (budget >= cap) {
-      prov.gap = std::nullopt;  // exhausted while still moving: gap unknown
-      break;
-    }
-    if (pol.deadline.active() && clock.elapsed_ms() >= pol.deadline.wall_ms) {
-      prov.degraded = true;  // out of wall time: settle for this rung
-      prov.gap = std::nullopt;
-      break;
-    }
-    prev = std::move(value);
-    budget = rt::next_budget_rung(budget, cap);
-  }
-  return value;
-}
+/// The `settled` argument of every ladder whose condensed answers are
+/// never definitive on their own.
+constexpr auto kNeverSettled = [](const auto&) { return false; };
 
 double array_move(const std::array<double, 3>& a, const std::array<double, 3>& b) {
   double m = 0.0;
@@ -346,11 +277,10 @@ std::shared_ptr<const analysis::BatchEngine> AnalysisService::engine_ptr(
   const core::ModeTaskSystem& sys = system(i);  // validates the entry
   const std::size_t budget = resolve_budget(max_points, alg);
   const EngineKey key{i, static_cast<int>(alg), budget};
-  EngineShard& shard = engine_shard(key);
   {
-    sys::MutexLock lock(shard.mu);
-    const auto it = shard.engines.find(key);
-    if (it != shard.engines.end()) return it->second;
+    sys::MutexLock lock(engines_mu_);
+    const auto it = engines_.find(key);
+    if (it != engines_.end()) return it->second;
   }
   // Construct outside the lock -- fleet requests hit this from every
   // worker at once, and serializing the task-set snapshots would bottleneck
@@ -364,15 +294,15 @@ std::shared_ptr<const analysis::BatchEngine> AnalysisService::engine_ptr(
   auto built =
       std::make_shared<const analysis::BatchEngine>(sys, alg, dl_opts,
                                                     fp_opts);
-  sys::MutexLock lock(shard.mu);
-  const auto [it, inserted] = shard.engines.emplace(key, std::move(built));
+  sys::MutexLock lock(engines_mu_);
+  const auto [it, inserted] = engines_.emplace(key, std::move(built));
   if (inserted) {
-    shard.order.push_back(key);
+    engine_order_.push_back(key);
     // Oldest-first eviction keeps a long-lived session's engine memory
     // bounded; in-flight ladders hold their own shared_ptr pins.
-    while (shard.order.size() > kEngineShardCapacity) {
-      shard.engines.erase(shard.order.front());
-      shard.order.pop_front();
+    while (engine_order_.size() > kEngineCapacity) {
+      engines_.erase(engine_order_.front());
+      engine_order_.pop_front();
     }
   }
   return it->second;
@@ -465,49 +395,124 @@ Result AnalysisService::memoized(std::size_t i, const Request& req,
   return out;
 }
 
-SolveResult AnalysisService::solve_one(std::size_t i,
-                                       const SolveRequest& req) const {
+/// Drives the accuracy ladder for entry i: probe at the initial budget,
+/// then (adaptive only) re-probe at doubled budgets until the answer is
+/// exact, settled, stops moving (move <= tol), or the cap is reached.
+/// `move` returns the distance between consecutive answers; +inf means
+/// "not comparable, keep refining" (e.g. the feasibility verdict flipped).
+/// `settled(value)` marks an answer that is definitive even when condensed
+/// (verify's "schedulable": a condensed yes is safe), under any policy.
+///
+/// Gap semantics: prov.gap is set only when the final answer is trustworthy
+/// at the requested accuracy -- 0 when the probe turned exact or settled,
+/// the last inter-round move when the ladder converged (<= tol). A ladder
+/// that exhausts the budget cap while the answer is still moving reports
+/// nullopt: the last measured move bounds nothing about the distance to the
+/// exact answer, so reporting it as "the gap" would overstate the capped
+/// answer's accuracy.
+///
+/// Deadline semantics: an active pol.deadline is checked *after* the other
+/// stop conditions and only between rungs, so a ladder that would finish
+/// anyway reports its natural outcome, the first rung always completes
+/// (there is always an answer to degrade to), and a run overshoots its
+/// budget by at most one rung. Deadline degradation looks like a capped
+/// ladder (gap nullopt, answer == fixed(final budget) bit for bit) plus
+/// prov.degraded = true.
+///
+/// The probe hook (set_probe_hook) fires at the start of every round,
+/// before the probe -- the deterministic injection point the
+/// executor-hardening tests use to throw or stall at a chosen entry/round.
+template <typename Value, typename Probe, typename Move, typename Settled>
+Value AnalysisService::run_ladder(std::size_t i, hier::Scheduler alg,
+                                  const AccuracyPolicy& pol, const Probe& probe,
+                                  const Move& move, const Settled& settled,
+                                  Provenance& prov) const {
+  const par::StopWatch clock;
+  std::size_t budget = resolve_budget(pol.initial_points, alg);
+  const std::size_t cap = std::max(budget, pol.max_points);
+  Value value{};
+  std::optional<Value> prev;
+  for (std::size_t round = 1;; ++round) {
+    if (probe_hook_) probe_hook_(i, round);
+    // Pinned for the whole round: the bounded engine cache may evict
+    // concurrently, and the probe must outlive any eviction.
+    const std::shared_ptr<const analysis::BatchEngine> pinned =
+        engine_ptr(i, alg, budget);
+    const analysis::BatchEngine& eng = *pinned;
+    value = probe(eng);
+    if (record_probe(eng, round, budget, prov) || settled(value)) {
+      prov.gap = 0.0;
+      break;
+    }
+    if (!pol.is_adaptive) {
+      prov.gap = std::nullopt;  // condensed one-shot: gap unknown
+      break;
+    }
+    if (prev) {
+      const double m = move(*prev, value);
+      if (m <= pol.tol) {
+        prov.gap = m;  // converged: the last move is the measured gap
+        break;
+      }
+    }
+    if (budget >= cap) {
+      prov.gap = std::nullopt;  // exhausted while still moving: gap unknown
+      break;
+    }
+    if (pol.deadline.active() && clock.elapsed_ms() >= pol.deadline.wall_ms) {
+      prov.degraded = true;  // out of wall time: settle for this rung
+      prov.gap = std::nullopt;
+      break;
+    }
+    prev = std::move(value);
+    budget = rt::next_budget_rung(budget, cap);
+  }
+  return value;
+}
+
+std::optional<core::Design> AnalysisService::design(std::size_t i,
+                                                    const SolveRequest& req,
+                                                    Provenance& prov,
+                                                    std::string& why) const {
+  // The probed value is the designed schedule (nullopt: infeasible at this
+  // budget); the ladder compares consecutive periods.
+  using Value = std::optional<core::Design>;
+  return run_ladder<Value>(
+      i, req.alg, req.accuracy,
+      [&](const analysis::BatchEngine& eng) -> Value {
+        try {
+          return core::solve_design(eng, req.overheads, req.goal, req.search);
+        } catch (const InfeasibleError& err) {
+          why = err.what();
+          return std::nullopt;
+        }
+      },
+      [](const Value& a, const Value& b) {
+        if (!a || !b) return kInf;  // verdict flipped / still infeasible
+        return std::abs(a->schedule.period - b->schedule.period);
+      },
+      kNeverSettled, prov);
+}
+
+SolveResult AnalysisService::run_one(std::size_t i,
+                                     const SolveRequest& req) const {
   return memoized<SolveResult>(i, req, [&](SolveResult& out) {
-    const auto engine_at = [&](std::size_t budget) {
-      return engine_ptr(i, req.alg, budget);
-    };
-    // The probed value is the designed schedule (nullopt: infeasible at
-    // this budget); the ladder compares consecutive periods.
-    using Value = std::optional<core::Design>;
     std::string why;
-    const Value design = run_ladder<Value>(
-        engine_at, req.accuracy, req.alg,
-        [&](const analysis::BatchEngine& eng) -> Value {
-          try {
-            return core::solve_design(eng, req.overheads, req.goal,
-                                      req.search);
-          } catch (const InfeasibleError& err) {
-            why = err.what();
-            return std::nullopt;
-          }
-        },
-        [](const Value& a, const Value& b) {
-          if (!a || !b) return kInf;  // verdict flipped / still infeasible
-          return std::abs(a->schedule.period - b->schedule.period);
-        },
-        probe_round(i), out.prov);
-    out.feasible = design.has_value();
-    if (design) {
-      out.design = *design;
+    std::optional<core::Design> d = design(i, req, out.prov, why);
+    out.feasible = d.has_value();
+    if (d) {
+      out.design = std::move(*d);
     } else {
-      out.infeasible = why;
+      out.infeasible = std::move(why);
     }
   });
 }
 
-MinQuantumResult AnalysisService::min_quantum_one(
+MinQuantumResult AnalysisService::run_one(
     std::size_t i, const MinQuantumRequest& req) const {
   return memoized<MinQuantumResult>(i, req, [&](MinQuantumResult& out) {
-    const auto engine_at = [&](std::size_t budget) {
-      return engine_ptr(i, req.alg, budget);
-    };
     out.mode_quantum = run_ladder<std::array<double, 3>>(
-        engine_at, req.accuracy, req.alg,
+        i, req.alg, req.accuracy,
         [&](const analysis::BatchEngine& eng) {
           std::array<double, 3> q{};
           for (std::size_t m = 0; m < core::kAllModes.size(); ++m) {
@@ -516,20 +521,17 @@ MinQuantumResult AnalysisService::min_quantum_one(
           }
           return q;
         },
-        array_move, probe_round(i), out.prov);
+        array_move, kNeverSettled, out.prov);
     out.margin = req.period - out.mode_quantum[0] - out.mode_quantum[1] -
                  out.mode_quantum[2];
   });
 }
 
-RegionSweepResult AnalysisService::region_sweep_one(
+RegionSweepResult AnalysisService::run_one(
     std::size_t i, const RegionSweepRequest& req) const {
   return memoized<RegionSweepResult>(i, req, [&](RegionSweepResult& out) {
-    const auto engine_at = [&](std::size_t budget) {
-      return engine_ptr(i, req.alg, budget);
-    };
     out.samples = run_ladder<std::vector<core::RegionSample>>(
-        engine_at, req.accuracy, req.alg,
+        i, req.alg, req.accuracy,
         [&](const analysis::BatchEngine& eng) {
           return eng.sample_region(req.search);
         },
@@ -542,19 +544,16 @@ RegionSweepResult AnalysisService::region_sweep_one(
           }
           return m;
         },
-        probe_round(i), out.prov);
+        kNeverSettled, out.prov);
   });
 }
 
-SensitivityResult AnalysisService::sensitivity_one(
+SensitivityResult AnalysisService::run_one(
     std::size_t i, const SensitivityRequest& req) const {
   return memoized<SensitivityResult>(i, req, [&](SensitivityResult& out) {
-    const auto engine_at = [&](std::size_t budget) {
-      return engine_ptr(i, req.alg, budget);
-    };
     using Value = std::pair<std::vector<core::TaskMargin>, double>;
     const Value value = run_ladder<Value>(
-        engine_at, req.accuracy, req.alg,
+        i, req.alg, req.accuracy,
         [&](const analysis::BatchEngine& eng) -> Value {
           if (!req.task.empty()) {
             core::TaskMargin row{req.task, rt::Mode::NF, 0.0,
@@ -589,79 +588,44 @@ SensitivityResult AnalysisService::sensitivity_one(
           }
           return m;
         },
-        probe_round(i), out.prov);
+        kNeverSettled, out.prov);
     out.margins = value.first;
     out.global_margin = value.second;
   });
 }
 
-VerifyResult AnalysisService::verify_one(std::size_t i,
-                                         const VerifyRequest& req) const {
+VerifyResult AnalysisService::run_one(std::size_t i,
+                                      const VerifyRequest& req) const {
   return memoized<VerifyResult>(i, req, [&](VerifyResult& out) {
-    // Hand-rolled ladder: a condensed "schedulable" is already safe and
-    // definitive, so adaptive accuracy only escalates a condensed "no".
-    // Deadline handling mirrors run_ladder: checked last, between rungs.
-    const par::StopWatch clock;
-    const auto notify = probe_round(i);
-    std::size_t budget = resolve_budget(req.accuracy.initial_points, req.alg);
-    const std::size_t cap = std::max(budget, req.accuracy.max_points);
-    bool exact = false;
-    for (std::size_t round = 1;; ++round) {
-      notify(round);
-      const std::shared_ptr<const analysis::BatchEngine> pinned =
-          engine_ptr(i, req.alg, budget);
-      const analysis::BatchEngine& eng = *pinned;
-      out.schedulable = eng.verify(req.schedule, req.use_exact_supply);
-      exact = record_probe(eng, round, budget, out.prov);
-      if (out.schedulable || exact || !req.accuracy.is_adaptive ||
-          budget >= cap) {
-        break;
-      }
-      if (req.accuracy.deadline.active() &&
-          clock.elapsed_ms() >= req.accuracy.deadline.wall_ms) {
-        out.prov.degraded = true;  // conservative "no" of the finished rung
-        break;
-      }
-      budget = rt::next_budget_rung(budget, cap);
-    }
-    out.prov.gap = (out.schedulable || exact) ? std::optional<double>(0.0)
-                                              : std::nullopt;
+    // A condensed "schedulable" is already safe and definitive (settled);
+    // a condensed "no" never converges, so adaptive accuracy escalates it
+    // until it turns exact or settles, or the cap or deadline stops it.
+    out.schedulable = run_ladder<bool>(
+        i, req.alg, req.accuracy,
+        [&](const analysis::BatchEngine& eng) {
+          return eng.verify(req.schedule, req.use_exact_supply);
+        },
+        [](bool, bool) { return kInf; },
+        [](bool schedulable) { return schedulable; }, out.prov);
   });
 }
 
-FaultSweepResult AnalysisService::fault_sweep_one(
+FaultSweepResult AnalysisService::run_one(
     std::size_t i, const FaultSweepRequest& req) const {
   return memoized<FaultSweepResult>(i, req, [&](FaultSweepResult& out) {
-    const auto engine_at = [&](std::size_t budget) {
-      return engine_ptr(i, req.alg, budget);
-    };
-    // Phase 1: the nominal design, exactly solve_one's ladder (the request's
+    // Phase 1: the nominal design, solve's ladder (the request's
     // accuracy/deadline policy governs this phase; the per-rate checks below
     // run on fixed bounded contexts and need no ladder).
-    using Value = std::optional<core::Design>;
     std::string why;
-    const Value design = run_ladder<Value>(
-        engine_at, req.accuracy, req.alg,
-        [&](const analysis::BatchEngine& eng) -> Value {
-          try {
-            return core::solve_design(eng, req.overheads, req.goal,
-                                      req.search);
-          } catch (const InfeasibleError& err) {
-            why = err.what();
-            return std::nullopt;
-          }
-        },
-        [](const Value& a, const Value& b) {
-          if (!a || !b) return kInf;
-          return std::abs(a->schedule.period - b->schedule.period);
-        },
-        probe_round(i), out.prov);
-    out.feasible = design.has_value();
-    if (!design) {
-      out.infeasible = why;
+    const std::optional<core::Design> d = design(
+        i, {req.alg, req.overheads, req.goal, req.search, req.accuracy},
+        out.prov, why);
+    out.feasible = d.has_value();
+    if (!d) {
+      out.infeasible = std::move(why);
       return;  // no schedule: nothing to sweep
     }
-    out.schedule = design->schedule;
+    out.schedule = d->schedule;
 
     // Phase 2: rate-independent work, once per entry.
     const core::ModeTaskSystem& sys = system(i);
@@ -739,108 +703,6 @@ FaultSweepResult AnalysisService::fault_sweep_one(
       out.points.push_back(p);
     }
   });
-}
-
-std::vector<SolveResult> AnalysisService::solve(const SolveRequest& req) const {
-  std::vector<SolveResult> out(size());
-  par::parallel_for(size(), [&](std::size_t i) { out[i] = solve_one(i, req); });
-  return out;
-}
-
-std::vector<MinQuantumResult> AnalysisService::min_quantum(
-    const MinQuantumRequest& req) const {
-  std::vector<MinQuantumResult> out(size());
-  par::parallel_for(size(),
-                    [&](std::size_t i) { out[i] = min_quantum_one(i, req); });
-  return out;
-}
-
-std::vector<RegionSweepResult> AnalysisService::region_sweep(
-    const RegionSweepRequest& req) const {
-  std::vector<RegionSweepResult> out(size());
-  par::parallel_for(size(),
-                    [&](std::size_t i) { out[i] = region_sweep_one(i, req); });
-  return out;
-}
-
-std::vector<SensitivityResult> AnalysisService::sensitivity(
-    const SensitivityRequest& req) const {
-  std::vector<SensitivityResult> out(size());
-  par::parallel_for(size(),
-                    [&](std::size_t i) { out[i] = sensitivity_one(i, req); });
-  return out;
-}
-
-std::vector<VerifyResult> AnalysisService::verify(
-    const VerifyRequest& req) const {
-  std::vector<VerifyResult> out(size());
-  par::parallel_for(size(),
-                    [&](std::size_t i) { out[i] = verify_one(i, req); });
-  return out;
-}
-
-std::vector<FaultSweepResult> AnalysisService::fault_sweep(
-    const FaultSweepRequest& req) const {
-  std::vector<FaultSweepResult> out(size());
-  par::parallel_for(size(),
-                    [&](std::size_t i) { out[i] = fault_sweep_one(i, req); });
-  return out;
-}
-
-template <typename One, typename Sink>
-StreamStats AnalysisService::stream_entries(const One& one, const Sink& sink,
-                                            std::size_t window) const {
-  StreamStats stats;
-  stats.window = window ? window : par::default_stream_window();
-  stats.max_buffered = par::ordered_stream(
-      size(), stats.window, [&](std::size_t i) { return one(i); },
-      [&](std::size_t, auto&& result) {
-        sink(result);
-        ++stats.emitted;
-      });
-  return stats;
-}
-
-StreamStats AnalysisService::solve(const SolveRequest& req,
-                                   const SolveSink& sink,
-                                   std::size_t window) const {
-  return stream_entries([&](std::size_t i) { return solve_one(i, req); }, sink,
-                        window);
-}
-
-StreamStats AnalysisService::min_quantum(const MinQuantumRequest& req,
-                                         const MinQuantumSink& sink,
-                                         std::size_t window) const {
-  return stream_entries([&](std::size_t i) { return min_quantum_one(i, req); },
-                        sink, window);
-}
-
-StreamStats AnalysisService::region_sweep(const RegionSweepRequest& req,
-                                          const RegionSweepSink& sink,
-                                          std::size_t window) const {
-  return stream_entries([&](std::size_t i) { return region_sweep_one(i, req); },
-                        sink, window);
-}
-
-StreamStats AnalysisService::sensitivity(const SensitivityRequest& req,
-                                         const SensitivitySink& sink,
-                                         std::size_t window) const {
-  return stream_entries([&](std::size_t i) { return sensitivity_one(i, req); },
-                        sink, window);
-}
-
-StreamStats AnalysisService::verify(const VerifyRequest& req,
-                                    const VerifySink& sink,
-                                    std::size_t window) const {
-  return stream_entries([&](std::size_t i) { return verify_one(i, req); }, sink,
-                        window);
-}
-
-StreamStats AnalysisService::fault_sweep(const FaultSweepRequest& req,
-                                         const FaultSweepSink& sink,
-                                         std::size_t window) const {
-  return stream_entries([&](std::size_t i) { return fault_sweep_one(i, req); },
-                        sink, window);
 }
 
 }  // namespace flexrt::svc

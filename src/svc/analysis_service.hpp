@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "common/annotations.hpp"
+#include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "core/analysis_engine.hpp"
 #include "core/design.hpp"
@@ -31,12 +32,15 @@ namespace flexrt::svc {
 /// candidate systems), and this is the fleet-shaped front for it.
 ///
 /// An AnalysisService holds a fleet of mode-task systems -- added directly,
-/// parsed from files, or generated as a sharded trial study -- and executes
+/// parsed from files, or generated as a sharded trial study -- and answers
 /// *typed requests* (SolveRequest, MinQuantumRequest, RegionSweepRequest,
-/// SensitivityRequest, VerifyRequest) against every system on the shared
-/// par::parallel_for pool. Results are typed structs that carry the answer
-/// plus *provenance*: whether the deadline-set analysis was exact, the
-/// dlSet point budget behind the answer, how many accuracy rounds ran, the
+/// SensitivityRequest, VerifyRequest, FaultSweepRequest) through one
+/// request runner in three forms: run_one(i, req) for one entry,
+/// run(req, sink, window) streaming every entry in order from the shared
+/// par::parallel_for pool, and run(req) collecting that stream into a
+/// vector. Results are typed structs that carry the answer plus
+/// *provenance*: whether the deadline-set analysis was exact, the dlSet
+/// point budget behind the answer, how many accuracy rounds ran, the
 /// measured over-approximation gap, and wall time.
 ///
 /// Every request takes an AccuracyPolicy. `fixed` probes once at one
@@ -335,30 +339,17 @@ struct FaultSweepResult : ResultBase {
   std::vector<FaultRatePoint> points;  ///< one per requested rate, in order
 };
 
-// --- streaming ------------------------------------------------------------
+// --- the service ----------------------------------------------------------
 
-/// What a streaming fleet request reports back: every row was delivered to
-/// the sink (in entry order), so the stats describe the transport, not the
-/// answers. `max_buffered <= window` is the bounded-memory guarantee the
+/// What a fleet run reports back: every row was delivered to the sink (in
+/// entry order), so the stats describe the transport, not the answers.
+/// `max_buffered <= window` is the bounded-memory guarantee the
 /// stream_fleet bench row tracks against the fleet size.
 struct StreamStats {
   std::size_t emitted = 0;       ///< results delivered to the sink
   std::size_t window = 0;        ///< reorder window in force
   std::size_t max_buffered = 0;  ///< reorder-buffer high-water mark
 };
-
-/// Per-request result sinks. Called once per fleet entry, in entry order,
-/// from whichever worker completed the stream head -- one call at a time
-/// (the reassembly buffer serializes emission), so a sink writing a single
-/// ostream needs no locking of its own.
-using SolveSink = std::function<void(const SolveResult&)>;
-using MinQuantumSink = std::function<void(const MinQuantumResult&)>;
-using RegionSweepSink = std::function<void(const RegionSweepResult&)>;
-using SensitivitySink = std::function<void(const SensitivityResult&)>;
-using VerifySink = std::function<void(const VerifyResult&)>;
-using FaultSweepSink = std::function<void(const FaultSweepResult&)>;
-
-// --- the service ----------------------------------------------------------
 
 class AnalysisService {
  public:
@@ -371,6 +362,11 @@ class AnalysisService {
                                                         Rng& rng)>;
 
   AnalysisService() = default;
+  /// A one-entry fleet around `sys`: what the core:: one-shot wrappers
+  /// (integration/sensitivity/solve_design) run their request against.
+  explicit AnalysisService(core::ModeTaskSystem sys) {
+    add_system(std::move(sys));
+  }
   AnalysisService(const AnalysisService&) = delete;
   AnalysisService& operator=(const AnalysisService&) = delete;
 
@@ -401,52 +397,63 @@ class AnalysisService {
   }
   const core::ModeTaskSystem& system(std::size_t i) const;
 
-  // Fleet-wide execution: one result per entry, entry order, computed
-  // across the par::parallel_for pool.
-  std::vector<SolveResult> solve(const SolveRequest& req) const;
-  std::vector<MinQuantumResult> min_quantum(const MinQuantumRequest& req) const;
-  std::vector<RegionSweepResult> region_sweep(
-      const RegionSweepRequest& req) const;
-  std::vector<SensitivityResult> sensitivity(
-      const SensitivityRequest& req) const;
-  std::vector<VerifyResult> verify(const VerifyRequest& req) const;
-  std::vector<FaultSweepResult> fault_sweep(const FaultSweepRequest& req) const;
+  // One request runner in three forms. run_one(i, req) answers one entry:
+  // the memo lookup, the accuracy ladder and the per-type analysis body,
+  // with any failure turned into an error row. run(req, sink, window)
+  // runs it for every entry across the par::parallel_for pool and hands
+  // each result to `sink` in entry order through a bounded reorder buffer
+  // (par::ordered_stream; window 0 = the library default, a small multiple
+  // of the thread count), so peak result memory is O(window), not
+  // O(fleet) -- the enabler for 10^5+-trial studies. run(req) is that same
+  // stream collected into a vector: buffered == streamed by construction.
+  SolveResult run_one(std::size_t i, const SolveRequest& req) const;
+  MinQuantumResult run_one(std::size_t i, const MinQuantumRequest& req) const;
+  RegionSweepResult run_one(std::size_t i,
+                            const RegionSweepRequest& req) const;
+  SensitivityResult run_one(std::size_t i,
+                            const SensitivityRequest& req) const;
+  VerifyResult run_one(std::size_t i, const VerifyRequest& req) const;
+  FaultSweepResult run_one(std::size_t i, const FaultSweepRequest& req) const;
 
-  // Streaming execution: identical per-entry computation, but each result
-  // goes to `sink` as soon as its ladder finishes, reassembled into entry
-  // order through a bounded reorder buffer (window 0 = the library default,
-  // a small multiple of the thread count). The emitted sequence is exactly
-  // the buffered vector above -- streamed output is byte-identical to the
-  // buffered path -- while peak result memory is O(window), not O(fleet):
-  // the enabler for 10^5+-trial studies.
-  StreamStats solve(const SolveRequest& req, const SolveSink& sink,
-                    std::size_t window = 0) const;
-  StreamStats min_quantum(const MinQuantumRequest& req,
-                          const MinQuantumSink& sink,
-                          std::size_t window = 0) const;
-  StreamStats region_sweep(const RegionSweepRequest& req,
-                           const RegionSweepSink& sink,
-                           std::size_t window = 0) const;
-  StreamStats sensitivity(const SensitivityRequest& req,
-                          const SensitivitySink& sink,
-                          std::size_t window = 0) const;
-  StreamStats verify(const VerifyRequest& req, const VerifySink& sink,
-                     std::size_t window = 0) const;
-  StreamStats fault_sweep(const FaultSweepRequest& req,
-                          const FaultSweepSink& sink,
-                          std::size_t window = 0) const;
+  /// The sink is called once per entry, in entry order, with the result as
+  /// an rvalue, from whichever worker is emitting -- one call at a time
+  /// (ordered_stream serializes emission), so a sink writing a single
+  /// ostream needs no locking of its own.
+  template <typename Request, typename Sink>
+  StreamStats run(const Request& req, const Sink& sink,
+                  std::size_t window = 0) const {
+    StreamStats stats;
+    stats.window = window ? window : par::default_stream_window();
+    stats.max_buffered = par::ordered_stream(
+        size(), stats.window, [&](std::size_t i) { return run_one(i, req); },
+        [&](std::size_t, auto&& result) {
+          sink(std::move(result));
+          ++stats.emitted;
+        });
+    return stats;
+  }
 
-  // Single-entry execution (what the core:: wrappers use).
-  SolveResult solve_one(std::size_t i, const SolveRequest& req) const;
-  MinQuantumResult min_quantum_one(std::size_t i,
-                                   const MinQuantumRequest& req) const;
-  RegionSweepResult region_sweep_one(std::size_t i,
-                                     const RegionSweepRequest& req) const;
-  SensitivityResult sensitivity_one(std::size_t i,
-                                    const SensitivityRequest& req) const;
-  VerifyResult verify_one(std::size_t i, const VerifyRequest& req) const;
-  FaultSweepResult fault_sweep_one(std::size_t i,
-                                   const FaultSweepRequest& req) const;
+  template <typename Request>
+  auto run(const Request& req) const {
+    std::vector<decltype(run_one(0, req))> out;
+    out.reserve(size());
+    run(req, [&](auto&& result) { out.push_back(std::move(result)); });
+    return out;
+  }
+
+  // Named streaming forms of two request types, kept only because the
+  // benchmark's replay program (flexbench/trace_driver.cpp) calls them and
+  // must build unchanged; everything else calls run().
+  template <typename Sink>
+  StreamStats solve(const SolveRequest& req, const Sink& sink,
+                    std::size_t window = 0) const {
+    return run(req, sink, window);
+  }
+  template <typename Sink>
+  StreamStats min_quantum(const MinQuantumRequest& req, const Sink& sink,
+                          std::size_t window = 0) const {
+    return run(req, sink, window);
+  }
 
   /// Deterministic fault-injection hook for executor hardening tests: when
   /// set, called at the *start of every accuracy round* of every entry's
@@ -496,29 +503,11 @@ class AnalysisService {
   /// (entry, scheduler, dlSet budget) -> engine.
   using EngineKey = std::tuple<std::size_t, int, std::size_t>;
 
-  /// One stripe of the engine cache: fleet workers used to serialize on a
-  /// single service-wide mutex at every entry start; striping by key
-  /// spreads them across kEngineShards independent locks. Each shard is
-  /// bounded (kEngineShardCapacity resident engines, oldest evicted
-  /// first) so a long-lived daemon session cannot grow engine memory
-  /// without bound; shared_ptr ownership keeps an engine alive for any
-  /// ladder that pinned it before eviction.
-  struct EngineShard {
-    sys::Mutex mu;
-    std::map<EngineKey, std::shared_ptr<const analysis::BatchEngine>> engines
-        GUARDED_BY(mu);
-    /// insertion order; front evicts first
-    std::deque<EngineKey> order GUARDED_BY(mu);
-  };
-  static constexpr std::size_t kEngineShards = 16;
-  static constexpr std::size_t kEngineShardCapacity = 512;
-
-  EngineShard& engine_shard(const EngineKey& key) const noexcept {
-    const auto [entry, alg, budget] = key;
-    return engine_shards_[(entry + 31 * budget +
-                           977 * static_cast<std::size_t>(alg)) %
-                          kEngineShards];
-  }
+  /// Resident-engine bound of the cache: a long-lived daemon session
+  /// cannot grow engine memory without bound. Oldest engines are evicted
+  /// first; shared_ptr ownership keeps an engine alive for any ladder that
+  /// pinned it before eviction.
+  static constexpr std::size_t kEngineCapacity = 8192;
 
   template <typename Result, typename Body>
   Result run_entry(std::size_t i, Body&& body) const;
@@ -530,35 +519,29 @@ class AnalysisService {
   template <typename Result, typename Request, typename Body>
   Result memoized(std::size_t i, const Request& req, Body&& body) const;
 
-  /// The per-entry notify callback handed to the accuracy ladder: forwards
-  /// each round start to the injection hook when one is set.
-  auto probe_round(std::size_t i) const {
-    return [this, i](std::size_t round) {
-      if (probe_hook_) probe_hook_(i, round);
-    };
-  }
+  /// The accuracy ladder of entry i: probes the cached engines at the
+  /// policy's budget rungs until an answer stops it (defined in the .cpp).
+  template <typename Value, typename Probe, typename Move, typename Settled>
+  Value run_ladder(std::size_t i, hier::Scheduler alg,
+                   const AccuracyPolicy& pol, const Probe& probe,
+                   const Move& move, const Settled& settled,
+                   Provenance& prov) const;
 
-  /// Shared streaming transport: runs `one(i)` per entry on the pool and
-  /// feeds the ordered reassembly buffer (par::ordered_stream).
-  template <typename One, typename Sink>
-  StreamStats stream_entries(const One& one, const Sink& sink,
-                             std::size_t window) const;
+  /// The design ladder of a solve request on entry i (nullopt and `why`
+  /// when infeasible): solve's whole analysis and fault-sweep's nominal
+  /// phase.
+  std::optional<core::Design> design(std::size_t i, const SolveRequest& req,
+                                     Provenance& prov, std::string& why) const;
 
   std::vector<Entry> entries_;
   ProbeHook probe_hook_;
-  mutable std::array<EngineShard, kEngineShards> engine_shards_;
-};
-
-/// One-entry service around a single system: the helper behind the core::
-/// one-shot wrapper functions (integration/sensitivity/solve_design). The
-/// service is non-movable -- it owns a sharded, mutex-striped engine
-/// cache -- hence this two-phase-construction wrapper instead of a
-/// factory returning by value.
-struct OneShotService {
-  explicit OneShotService(const core::ModeTaskSystem& sys) {
-    service.add_system(sys);
-  }
-  AnalysisService service;
+  /// The engine cache. Held only to find or insert: engines are built
+  /// outside it, so fleet workers contend on a map lookup, not a build.
+  mutable sys::Mutex engines_mu_;
+  mutable std::map<EngineKey, std::shared_ptr<const analysis::BatchEngine>>
+      engines_ GUARDED_BY(engines_mu_);
+  /// insertion order; front evicts first
+  mutable std::deque<EngineKey> engine_order_ GUARDED_BY(engines_mu_);
 };
 
 }  // namespace flexrt::svc

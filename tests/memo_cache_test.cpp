@@ -100,8 +100,8 @@ TEST_F(MemoCacheTest, MemoizedAnswersAreBitIdenticalToCold) {
     std::vector<MinQuantumResult> cold_mq;
     std::vector<SolveResult> cold_sv;
     for (std::size_t i = 0; i < service.size(); ++i) {
-      cold_mq.push_back(service.min_quantum_one(i, mq));
-      cold_sv.push_back(service.solve_one(i, sv));
+      cold_mq.push_back(service.run_one(i, mq));
+      cold_sv.push_back(service.run_one(i, sv));
     }
 
     global_memo().set_enabled(true);
@@ -110,8 +110,8 @@ TEST_F(MemoCacheTest, MemoizedAnswersAreBitIdenticalToCold) {
     // the second must be pure hits. Both must reproduce cold bits.
     for (int pass = 0; pass < 2; ++pass) {
       for (const std::size_t i : order) {
-        const MinQuantumResult m = service.min_quantum_one(i, mq);
-        const SolveResult s = service.solve_one(i, sv);
+        const MinQuantumResult m = service.run_one(i, mq);
+        const SolveResult s = service.run_one(i, sv);
         ASSERT_EQ(m.ok(), cold_mq[i].ok());
         EXPECT_EQ(m.name, cold_mq[i].name);
         EXPECT_EQ(m.mode_quantum, cold_mq[i].mode_quantum);
@@ -135,18 +135,18 @@ TEST_F(MemoCacheTest, MemoizedAnswersAreBitIdenticalToCold) {
 TEST_F(MemoCacheTest, VerifyIsMemoizedBitIdentically) {
   AnalysisService service;
   service.add_system(core::paper_example(), "paper");
-  const SolveResult base = service.solve_one(
-      0, {Scheduler::EDF, {0.01, 0.01, 0.01},
+  const SolveResult base = service.run_one(
+      0, SolveRequest{Scheduler::EDF, {0.01, 0.01, 0.01},
           core::DesignGoal::MinOverheadBandwidth, {}, {}});
   ASSERT_TRUE(base.ok());
   const VerifyRequest vr{Scheduler::EDF, base.design.schedule, false, {}};
 
   global_memo().set_enabled(false);
-  const VerifyResult cold = service.verify_one(0, vr);
+  const VerifyResult cold = service.run_one(0, vr);
   global_memo().set_enabled(true);
   global_memo().clear();
-  const VerifyResult warm1 = service.verify_one(0, vr);
-  const VerifyResult warm2 = service.verify_one(0, vr);
+  const VerifyResult warm1 = service.run_one(0, vr);
+  const VerifyResult warm2 = service.run_one(0, vr);
   for (const VerifyResult* r : {&warm1, &warm2}) {
     EXPECT_EQ(r->schedulable, cold.schedulable);
     EXPECT_EQ(r->prov.gap, cold.prov.gap);
@@ -165,14 +165,14 @@ TEST_F(MemoCacheTest, StatsCountMissThenInsertThenHit) {
   AnalysisService service;
   service.add_system(core::paper_example(), "paper");
   const MinQuantumRequest req{Scheduler::EDF, 1.0, false, {}};
-  (void)service.min_quantum_one(0, req);
+  (void)service.run_one(0, req);
   MemoStats st = global_memo().stats();
   EXPECT_EQ(st.hits, 0u);
   EXPECT_EQ(st.misses, 1u);
   EXPECT_EQ(st.insertions, 1u);
   EXPECT_EQ(st.entries, 1u);
   EXPECT_GT(st.bytes, 0u);
-  (void)service.min_quantum_one(0, req);
+  (void)service.run_one(0, req);
   st = global_memo().stats();
   EXPECT_EQ(st.hits, 1u);
   EXPECT_EQ(st.misses, 1u);
@@ -184,8 +184,8 @@ TEST_F(MemoCacheTest, HitCarriesTheConsumersIdentityNotTheProducers) {
   service.add_system(core::paper_example(), "first");
   service.add_system(core::paper_example(), "second");
   const MinQuantumRequest req{Scheduler::EDF, 1.0, false, {}};
-  const MinQuantumResult producer = service.min_quantum_one(0, req);
-  const MinQuantumResult consumer = service.min_quantum_one(1, req);
+  const MinQuantumResult producer = service.run_one(0, req);
+  const MinQuantumResult consumer = service.run_one(1, req);
   EXPECT_EQ(global_memo().stats().hits, 1u);
   EXPECT_EQ(consumer.system, 1u);
   EXPECT_EQ(consumer.name, "second");
@@ -201,9 +201,9 @@ TEST_F(MemoCacheTest, CrossScaleHitRescalesTimeDimensionedFields) {
   service.add_system(scaled_paper(2.0), "stretched");
   const MinQuantumRequest req1{Scheduler::EDF, 1.0, false, {}};
   const MinQuantumRequest req2{Scheduler::EDF, 2.0, false, {}};
-  const MinQuantumResult base = service.min_quantum_one(0, req1);
+  const MinQuantumResult base = service.run_one(0, req1);
   ASSERT_TRUE(base.ok());
-  const MinQuantumResult twin = service.min_quantum_one(1, req2);
+  const MinQuantumResult twin = service.run_one(1, req2);
   ASSERT_TRUE(twin.ok());
   // The x2 twin at the x2 period is the same canonical question: a hit,
   // with every time-dimensioned field exactly doubled (x2 is exact in
@@ -221,11 +221,11 @@ TEST_F(MemoCacheTest, DifferentRequestsDoNotAlias) {
   AnalysisService service;
   service.add_system(core::paper_example(), "paper");
   const MinQuantumResult p1 =
-      service.min_quantum_one(0, {Scheduler::EDF, 1.0, false, {}});
+      service.run_one(0, MinQuantumRequest{Scheduler::EDF, 1.0, false, {}});
   const MinQuantumResult p2 =
-      service.min_quantum_one(0, {Scheduler::EDF, 2.0, false, {}});
+      service.run_one(0, MinQuantumRequest{Scheduler::EDF, 2.0, false, {}});
   const MinQuantumResult fp =
-      service.min_quantum_one(0, {Scheduler::FP, 1.0, false, {}});
+      service.run_one(0, MinQuantumRequest{Scheduler::FP, 1.0, false, {}});
   EXPECT_EQ(global_memo().stats().hits, 0u);
   EXPECT_EQ(global_memo().stats().entries, 3u);
   (void)p1;
@@ -246,11 +246,11 @@ TEST_F(MemoCacheTest, SameScaleHitReplaysOnlyABitIdenticalRequest) {
   const MinQuantumRequest exact{Scheduler::EDF, 0.8, false, {}};
 
   global_memo().set_enabled(false);
-  const MinQuantumResult cold = service.min_quantum_one(0, exact);
+  const MinQuantumResult cold = service.run_one(0, exact);
   global_memo().set_enabled(true);
 
-  (void)service.min_quantum_one(0, near);
-  const MinQuantumResult warm = service.min_quantum_one(0, exact);
+  (void)service.run_one(0, near);
+  const MinQuantumResult warm = service.run_one(0, exact);
   EXPECT_FALSE(warm.prov.cache_hit);
   EXPECT_EQ(warm.mode_quantum, cold.mode_quantum);
   EXPECT_EQ(warm.margin, cold.margin);
@@ -288,11 +288,11 @@ TEST_F(MemoCacheTest, SameScaleHitReplaysOnlyABitIdenticalSystem) {
   const MinQuantumRequest req{Scheduler::EDF, 1.0, false, {}};
 
   global_memo().set_enabled(false);
-  const MinQuantumResult cold = service.min_quantum_one(1, req);
+  const MinQuantumResult cold = service.run_one(1, req);
   global_memo().set_enabled(true);
 
-  (void)service.min_quantum_one(0, req);
-  const MinQuantumResult warm = service.min_quantum_one(1, req);
+  (void)service.run_one(0, req);
+  const MinQuantumResult warm = service.run_one(1, req);
   EXPECT_FALSE(warm.prov.cache_hit);
   EXPECT_EQ(warm.mode_quantum, cold.mode_quantum);
   EXPECT_EQ(warm.margin, cold.margin);
@@ -318,8 +318,8 @@ TEST_F(MemoCacheTest, PermutedTwinStillHits) {
                                           std::move(parts[2])),
                      "permuted");
   const MinQuantumRequest req{Scheduler::EDF, 1.0, false, {}};
-  const MinQuantumResult first = service.min_quantum_one(0, req);
-  const MinQuantumResult twin = service.min_quantum_one(1, req);
+  const MinQuantumResult first = service.run_one(0, req);
+  const MinQuantumResult twin = service.run_one(1, req);
   EXPECT_TRUE(twin.prov.cache_hit);
   EXPECT_EQ(twin.mode_quantum, first.mode_quantum);
   EXPECT_EQ(global_memo().stats().hits, 1u);
@@ -332,8 +332,8 @@ TEST_F(MemoCacheTest, DisabledMemoNeverTouchesTheCache) {
   AnalysisService service;
   service.add_system(core::paper_example(), "paper");
   const MinQuantumRequest req{Scheduler::EDF, 1.0, false, {}};
-  const MinQuantumResult a = service.min_quantum_one(0, req);
-  const MinQuantumResult b = service.min_quantum_one(0, req);
+  const MinQuantumResult a = service.run_one(0, req);
+  const MinQuantumResult b = service.run_one(0, req);
   const MemoStats st = global_memo().stats();
   EXPECT_EQ(st.hits, 0u);
   EXPECT_EQ(st.misses, 0u);
@@ -379,13 +379,13 @@ TEST_F(MemoCacheTest, TinyBudgetChurnsButStaysCorrect) {
   global_memo().set_enabled(false);
   std::vector<MinQuantumResult> cold;
   for (std::size_t i = 0; i < service.size(); ++i) {
-    cold.push_back(service.min_quantum_one(i, req));
+    cold.push_back(service.run_one(i, req));
   }
   global_memo().set_enabled(true);
   global_memo().clear();
   for (int pass = 0; pass < 3; ++pass) {
     for (std::size_t i = 0; i < service.size(); ++i) {
-      const MinQuantumResult r = service.min_quantum_one(i, req);
+      const MinQuantumResult r = service.run_one(i, req);
       EXPECT_EQ(r.mode_quantum, cold[i].mode_quantum);
       EXPECT_EQ(r.margin, cold[i].margin);
     }
@@ -411,7 +411,7 @@ TEST_F(MemoCacheTest, FirstWriterWinsOnDuplicateInsert) {
 TEST_F(MemoCacheTest, ClearZeroesEverything) {
   AnalysisService service;
   service.add_system(core::paper_example(), "paper");
-  (void)service.min_quantum_one(0, {Scheduler::EDF, 1.0, false, {}});
+  (void)service.run_one(0, MinQuantumRequest{Scheduler::EDF, 1.0, false, {}});
   ASSERT_GT(global_memo().stats().entries, 0u);
   global_memo().clear();
   const MemoStats st = global_memo().stats();

@@ -165,7 +165,7 @@ TEST(NetProto, SolveRowsMatchDirectSvcRender) {
                               core::DesignGoal::MinOverheadBandwidth,
                               {},
                               svc::AccuracyPolicy::fixed(0)};
-  service.solve(req, [&](const svc::SolveResult& r) {
+  service.run(req, [&](const svc::SolveResult& r) {
     ASSERT_TRUE(r.ok());
     out.write(svc::solve_row(r, req.alg, req.goal, /*with_wall=*/false));
   });
@@ -192,7 +192,7 @@ TEST(NetProto, MinqAndVerifyRowsMatchDirectSvcRender) {
   std::ostringstream os;
   svc::JsonlWriter out(os);
   const svc::AccuracyPolicy accuracy = svc::AccuracyPolicy::fixed(0);
-  service.min_quantum({Scheduler::EDF, 1.0, false, accuracy},
+  service.run(svc::MinQuantumRequest{Scheduler::EDF, 1.0, false, accuracy},
                       [&](const svc::MinQuantumResult& r) {
                         ASSERT_TRUE(r.ok());
                         out.write(svc::min_quantum_row(r, Scheduler::EDF, 1.0,
@@ -203,7 +203,7 @@ TEST(NetProto, MinqAndVerifyRowsMatchDirectSvcRender) {
   schedule.ft = {0.25, 0.0};
   schedule.fs = {0.3, 0.0};
   schedule.nf = {0.25, 0.0};
-  service.verify({Scheduler::EDF, schedule, false, accuracy},
+  service.run(svc::VerifyRequest{Scheduler::EDF, schedule, false, accuracy},
                  [&](const svc::VerifyResult& r) {
                    ASSERT_TRUE(r.ok());
                    out.write(svc::verify_row(r, Scheduler::EDF, 1.0,
@@ -226,8 +226,9 @@ TEST(NetProto, SweepRowsMatchDirectSvcRender) {
   search.p_min = 0.5;
   search.p_max = 1.0;
   search.grid_step = 0.25;
-  service.region_sweep(
-      {Scheduler::EDF, search, svc::AccuracyPolicy::fixed(0)},
+  service.run(
+      svc::RegionSweepRequest{Scheduler::EDF, search,
+                              svc::AccuracyPolicy::fixed(0)},
       [&](const svc::RegionSweepResult& r) {
         ASSERT_TRUE(r.ok());
         for (const core::RegionSample& s : r.samples) {
@@ -265,7 +266,7 @@ TEST(NetProto, GenFleetStudyMatchesOfflineStudyReport) {
   std::ostringstream os;
   svc::JsonlWriter out(os);
   svc::StudyAggregate agg;
-  service.solve(req, [&](const svc::SolveResult& r) {
+  service.run(req, [&](const svc::SolveResult& r) {
     const std::string row = svc::study_trial_row(r, req.alg, req.goal);
     out.write(row);
     agg.add(row);
@@ -546,6 +547,14 @@ TEST(NetProtoParse, CommandDefaultsAreThePublishedOnes) {
 }
 
 TEST(NetProtoParse, MalformedFlagsThrowNamingTheFlag) {
+  // A known flag with a missing or malformed value is named as such, never
+  // reported as an unknown flag -- study flags included, offline and on
+  // the wire's gen-fleet.
+  const auto expect_named = [](const std::string& flag,
+                               const std::string& message) {
+    EXPECT_NE(message.find(flag), std::string::npos) << message;
+    EXPECT_EQ(message.find("unknown"), std::string::npos) << message;
+  };
   for (const std::vector<std::string>& args :
        std::vector<std::vector<std::string>>{{"--alg", "xyz"},
                                              {"--budget", "64k"},
@@ -555,10 +564,27 @@ TEST(NetProtoParse, MalformedFlagsThrowNamingTheFlag) {
       parse_solve(args, {});
       FAIL() << args[0] << " must be rejected";
     } catch (const ModelError& e) {
-      EXPECT_NE(std::string(e.what()).find(args[0]), std::string::npos)
-          << e.what();
+      expect_named(args[0], e.what());
     }
   }
+  for (const std::vector<std::string>& args :
+       std::vector<std::vector<std::string>>{{"--trials"},
+                                             {"--seed"},
+                                             {"--shard"},
+                                             {"--trials", "12x"}}) {
+    core::StudyOptions study;
+    try {
+      parse_study(args, {.gen = &study});
+      FAIL() << args[0] << " must be rejected";
+    } catch (const ModelError& e) {
+      expect_named(args[0], e.what());
+    }
+  }
+  const SessionOutput got = run_script("gen-fleet --trials\nquit\n");
+  const std::vector<WireStatus> st = statuses(got.bytes);
+  ASSERT_EQ(st.size(), 2u);
+  EXPECT_TRUE(st[0].failed);
+  expect_named("--trials", st[0].message);
 }
 
 TEST(NetProto, VerifyUnschedulableIsRcOneNotError) {

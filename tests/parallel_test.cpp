@@ -104,7 +104,7 @@ TEST(OrderedStream, PeakBufferingRespectsTheWindow) {
 }
 
 TEST(OrderedStream, SinkSeesOneCallAtATime) {
-  // Emission is serialized under the stream lock: concurrent sink entries
+  // Emission is serialized (one emitter at a time): concurrent sink entries
   // would interleave rows in an ostream-backed sink.
   std::atomic<int> inside{0};
   bool overlapped = false;

@@ -113,11 +113,12 @@ class FaultSweepOnPaperExample : public ::testing::Test {
 
 TEST_F(FaultSweepOnPaperExample, NominalDesignMatchesSolveAndCoversAllRates) {
   const FaultSweepRequest req = request();
-  const FaultSweepResult r = service_.fault_sweep_one(0, req);
+  const FaultSweepResult r = service_.run_one(0, req);
   ASSERT_TRUE(r.ok()) << r.error;
   ASSERT_TRUE(r.feasible) << r.infeasible;
-  const SolveResult solved = service_.solve_one(
-      0, {req.alg, req.overheads, req.goal, req.search, req.accuracy});
+  const SolveResult solved = service_.run_one(
+      0, SolveRequest{req.alg, req.overheads, req.goal, req.search,
+                      req.accuracy});
   EXPECT_EQ(r.schedule.period, solved.design.schedule.period);
   EXPECT_EQ(r.schedule.fs.usable, solved.design.schedule.fs.usable);
   ASSERT_EQ(r.points.size(), req.rates.size());
@@ -126,8 +127,46 @@ TEST_F(FaultSweepOnPaperExample, NominalDesignMatchesSolveAndCoversAllRates) {
   }
 }
 
+TEST_F(FaultSweepOnPaperExample, NominalPhaseIsSolvesLadder) {
+  // The nominal design phase runs solve's accuracy ladder: same schedule,
+  // same provenance, for both schedulers and for fixed and adaptive
+  // policies (the adaptive one seeded low enough to climb).
+  for (const Scheduler alg : {Scheduler::EDF, Scheduler::FP}) {
+    for (const AccuracyPolicy& accuracy :
+         {AccuracyPolicy::fixed(), AccuracyPolicy::adaptive(1e-6, 4)}) {
+      FaultSweepRequest req = request();
+      req.alg = alg;
+      req.accuracy = accuracy;
+      const FaultSweepResult r = service_.run_one(0, req);
+      const SolveResult s = service_.run_one(
+          0, SolveRequest{req.alg, req.overheads, req.goal, req.search,
+                          req.accuracy});
+      ASSERT_TRUE(r.ok()) << r.error;
+      ASSERT_TRUE(s.ok()) << s.error;
+      ASSERT_EQ(r.feasible, s.feasible);
+      const core::ModeSchedule& want = s.design.schedule;
+      EXPECT_EQ(r.schedule.period, want.period);
+      for (const rt::Mode mode : core::kAllModes) {
+        EXPECT_EQ(r.schedule.slot(mode).usable, want.slot(mode).usable);
+        EXPECT_EQ(r.schedule.slot(mode).overhead, want.slot(mode).overhead);
+      }
+      EXPECT_EQ(r.prov.dl_exact, s.prov.dl_exact);
+      EXPECT_EQ(r.prov.fp_exact, s.prov.fp_exact);
+      EXPECT_EQ(r.prov.budget, s.prov.budget);
+      EXPECT_EQ(r.prov.fp_budget, s.prov.fp_budget);
+      EXPECT_EQ(r.prov.probes, s.prov.probes);
+      EXPECT_EQ(r.prov.gap, s.prov.gap);
+      EXPECT_EQ(r.prov.degraded, s.prov.degraded);
+    }
+  }
+  // The adaptive ladder did climb, so the comparison covers several rungs.
+  FaultSweepRequest req = request();
+  req.accuracy = AccuracyPolicy::adaptive(1e-6, 4);
+  EXPECT_GT(service_.run_one(0, req).prov.probes, 1u);
+}
+
 TEST_F(FaultSweepOnPaperExample, RateZeroIsTheFaultFreePlatform) {
-  const FaultSweepResult r = service_.fault_sweep_one(0, request());
+  const FaultSweepResult r = service_.run_one(0, request());
   ASSERT_TRUE(r.ok());
   const FaultRatePoint& p = r.points.front();
   EXPECT_TRUE(std::isinf(p.recovery_gap));
@@ -139,7 +178,7 @@ TEST_F(FaultSweepOnPaperExample, RateZeroIsTheFaultFreePlatform) {
 }
 
 TEST_F(FaultSweepOnPaperExample, VerdictsDegradeMonotonicallyInTheRate) {
-  const FaultSweepResult r = service_.fault_sweep_one(0, request());
+  const FaultSweepResult r = service_.run_one(0, request());
   ASSERT_TRUE(r.ok());
   // FT masks and NF ignores timing at every rate; FS may flip to
   // unschedulable as the recovery gap shrinks, and once lost it stays lost
@@ -168,7 +207,7 @@ TEST_F(FaultSweepOnPaperExample, VerdictsDegradeMonotonicallyInTheRate) {
 
 TEST_F(FaultSweepOnPaperExample, BaselineVerdictsMatchTheDirectBaselineCalls) {
   const FaultSweepRequest req = request();
-  const FaultSweepResult r = service_.fault_sweep_one(0, req);
+  const FaultSweepResult r = service_.run_one(0, req);
   ASSERT_TRUE(r.ok());
 
   rt::TaskSet all;
@@ -209,7 +248,7 @@ TEST_F(FaultSweepOnPaperExample, BaselineVerdictsMatchTheDirectBaselineCalls) {
 TEST_F(FaultSweepOnPaperExample, BaselinesCanBeSwitchedOff) {
   FaultSweepRequest req = request();
   req.with_baselines = false;
-  const FaultSweepResult r = service_.fault_sweep_one(0, req);
+  const FaultSweepResult r = service_.run_one(0, req);
   ASSERT_TRUE(r.ok());
   for (const FaultRatePoint& p : r.points) {
     EXPECT_FALSE(p.pb_ok);
@@ -223,7 +262,7 @@ TEST_F(FaultSweepOnPaperExample, InfeasibleNominalDesignSweepsNothing) {
   FaultSweepRequest req = request();
   req.overheads = {10.0, 10.0, 10.0};  // overheads dwarf every period
   req.search.p_max = 3.0;
-  const FaultSweepResult r = service_.fault_sweep_one(0, req);
+  const FaultSweepResult r = service_.run_one(0, req);
   ASSERT_TRUE(r.ok()) << r.error;
   EXPECT_FALSE(r.feasible);
   EXPECT_FALSE(r.infeasible.empty());
@@ -246,7 +285,7 @@ TEST(FaultSweepWithoutFs, EmptyFsModeNeedsNoSupply) {
   req.rates = {0.0, 0.1, 1.0};
   for (const bool exact : {false, true}) {
     req.use_exact_supply = exact;
-    const FaultSweepResult r = service.fault_sweep_one(0, req);
+    const FaultSweepResult r = service.run_one(0, req);
     ASSERT_TRUE(r.ok()) << r.error;
     ASSERT_TRUE(r.feasible) << r.infeasible;
     EXPECT_EQ(r.schedule.fs.usable, 0.0);
@@ -276,9 +315,9 @@ TEST(FaultSweepFleet, StreamedResultsEqualBufferedResultsWithErrorRows) {
   req.overheads = {0.02, 0.02, 0.02};
   req.goal = core::DesignGoal::MaxSlackBandwidth;
 
-  const std::vector<FaultSweepResult> want = service.fault_sweep(req);
+  const std::vector<FaultSweepResult> want = service.run(req);
   std::vector<FaultSweepResult> got;
-  const StreamStats stats = service.fault_sweep(
+  const StreamStats stats = service.run(
       req, [&](const FaultSweepResult& r) { got.push_back(r); });
 
   EXPECT_EQ(stats.emitted, want.size());

@@ -52,7 +52,7 @@ TEST_F(InjectedFleet, ThrowingProbeBecomesAnErrorRowOnlyForItsEntry) {
   service_.set_probe_hook([](std::size_t entry, std::size_t) {
     if (entry == 2) throw std::runtime_error("injected probe failure");
   });
-  const std::vector<SolveResult> rs = service_.solve(solve_request());
+  const std::vector<SolveResult> rs = service_.run(solve_request());
   ASSERT_EQ(rs.size(), 5u);
   for (std::size_t i = 0; i < rs.size(); ++i) {
     EXPECT_EQ(rs[i].system, i);  // no lost or duplicated entry
@@ -72,7 +72,7 @@ TEST_F(InjectedFleet, NonStandardExceptionsAreCaughtAsUnknown) {
   service_.set_probe_hook([](std::size_t entry, std::size_t) {
     if (entry == 4) throw 42;
   });
-  const std::vector<SolveResult> rs = service_.solve(solve_request());
+  const std::vector<SolveResult> rs = service_.run(solve_request());
   ASSERT_EQ(rs.size(), 5u);
   EXPECT_EQ(rs[4].error, "unknown exception");
   for (std::size_t i = 0; i < 4; ++i) EXPECT_TRUE(rs[i].ok());
@@ -81,11 +81,11 @@ TEST_F(InjectedFleet, NonStandardExceptionsAreCaughtAsUnknown) {
 TEST_F(InjectedFleet, ClearingTheHookRestoresNormalExecution) {
   service_.set_probe_hook(
       [](std::size_t, std::size_t) { throw std::runtime_error("always"); });
-  for (const SolveResult& r : service_.solve(solve_request())) {
+  for (const SolveResult& r : service_.run(solve_request())) {
     EXPECT_EQ(r.error, "always");
   }
   service_.set_probe_hook(nullptr);
-  for (const SolveResult& r : service_.solve(solve_request())) {
+  for (const SolveResult& r : service_.run(solve_request())) {
     EXPECT_TRUE(r.ok()) << r.error;
   }
 }
@@ -100,14 +100,14 @@ TEST_F(InjectedFleet, StreamedRunUnderInjectionMatchesBufferedByteForByte) {
   });
 
   std::vector<std::string> buffered;
-  for (const SolveResult& r : service_.solve(req)) {
+  for (const SolveResult& r : service_.run(req)) {
     buffered.push_back(study_trial_row(r, req.alg, req.goal));
   }
 
   std::vector<std::string> streamed;
   std::vector<std::size_t> order;
   const StreamStats stats =
-      service_.solve(req, [&](const SolveResult& r) {
+      service_.run(req, [&](const SolveResult& r) {
         order.push_back(r.system);
         streamed.push_back(study_trial_row(r, req.alg, req.goal));
       });
@@ -145,16 +145,17 @@ TEST_F(DeadlineOnStressSet, DeadlineDegradesToTheBestCompletedRung) {
   const AccuracyPolicy racing =
       AccuracyPolicy::adaptive(/*tol=*/-1.0, first_rung, 1u << 14)
           .with_deadline(1e-6);
-  const MinQuantumResult degraded = service_.min_quantum_one(
-      0, {Scheduler::EDF, period, false, racing});
+  const MinQuantumResult degraded = service_.run_one(
+      0, MinQuantumRequest{Scheduler::EDF, period, false, racing});
   ASSERT_TRUE(degraded.ok()) << degraded.error;
   EXPECT_TRUE(degraded.prov.degraded);
   EXPECT_FALSE(degraded.prov.gap.has_value());
   EXPECT_EQ(degraded.prov.probes, 1u);
   EXPECT_EQ(degraded.prov.budget, first_rung);
 
-  const MinQuantumResult fixed = service_.min_quantum_one(
-      0, {Scheduler::EDF, period, false, AccuracyPolicy::fixed(first_rung)});
+  const MinQuantumResult fixed = service_.run_one(
+      0, MinQuantumRequest{Scheduler::EDF, period, false,
+                           AccuracyPolicy::fixed(first_rung)});
   EXPECT_FALSE(fixed.prov.degraded);  // finished on its own, just coarse
   for (std::size_t m = 0; m < core::kAllModes.size(); ++m) {
     EXPECT_EQ(degraded.mode_quantum[m], fixed.mode_quantum[m]);
@@ -163,8 +164,9 @@ TEST_F(DeadlineOnStressSet, DeadlineDegradesToTheBestCompletedRung) {
 
   // Graceful means conservative: the degraded quanta over-approximate what
   // the full ladder would have refined them down to.
-  const MinQuantumResult full = service_.min_quantum_one(
-      0, {Scheduler::EDF, period, false, AccuracyPolicy::fixed(1u << 14)});
+  const MinQuantumResult full = service_.run_one(
+      0, MinQuantumRequest{Scheduler::EDF, period, false,
+                           AccuracyPolicy::fixed(1u << 14)});
   for (std::size_t m = 0; m < core::kAllModes.size(); ++m) {
     EXPECT_GE(degraded.mode_quantum[m], full.mode_quantum[m]);
   }
@@ -177,8 +179,8 @@ TEST_F(DeadlineOnStressSet, StalledProbeIsCutAfterOneRoundNotAfterTheCap) {
   service_.set_probe_hook([](std::size_t, std::size_t) {
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
   });
-  const MinQuantumResult r = service_.min_quantum_one(
-      0, {Scheduler::EDF, 0.4, false,
+  const MinQuantumResult r = service_.run_one(
+      0, MinQuantumRequest{Scheduler::EDF, 0.4, false,
           AccuracyPolicy::adaptive(/*tol=*/-1.0, 1u << 6, 1u << 20)
               .with_deadline(5.0)});
   ASSERT_TRUE(r.ok()) << r.error;
@@ -193,30 +195,32 @@ TEST_F(DeadlineOnStressSet, FixedPoliciesNeverDegrade) {
   // there is no earlier rung to fall back to.
   const AccuracyPolicy fixed_with_deadline =
       AccuracyPolicy::fixed(1u << 8).with_deadline(1e-6);
-  const MinQuantumResult r = service_.min_quantum_one(
-      0, {Scheduler::EDF, 0.4, false, fixed_with_deadline});
+  const MinQuantumResult r = service_.run_one(
+      0, MinQuantumRequest{Scheduler::EDF, 0.4, false, fixed_with_deadline});
   ASSERT_TRUE(r.ok());
   EXPECT_FALSE(r.prov.degraded);
-  const MinQuantumResult plain = service_.min_quantum_one(
-      0, {Scheduler::EDF, 0.4, false, AccuracyPolicy::fixed(1u << 8)});
+  const MinQuantumResult plain = service_.run_one(
+      0, MinQuantumRequest{Scheduler::EDF, 0.4, false,
+                           AccuracyPolicy::fixed(1u << 8)});
   for (std::size_t m = 0; m < core::kAllModes.size(); ++m) {
     EXPECT_EQ(r.mode_quantum[m], plain.mode_quantum[m]);
   }
 }
 
 TEST_F(DeadlineOnStressSet, VerifyLadderHonoursTheDeadlineToo) {
-  // verify() hand-rolls its escalation ladder (it climbs only while the
-  // condensed verdict is "no"), so it needs its own degradation proof: an
-  // unschedulable schedule would climb to the cap, an elapsed deadline
-  // must cut it to a conservative condensed "no" instead.
+  // verify's ladder climbs only while the condensed verdict is "no", so it
+  // needs its own degradation proof: an unschedulable schedule would climb
+  // to the cap, an elapsed deadline must cut it to a conservative condensed
+  // "no" instead.
   const double period = 0.4;
-  const MinQuantumResult q = service_.min_quantum_one(
-      0, {Scheduler::EDF, period, false, AccuracyPolicy::fixed(1u << 14)});
+  const MinQuantumResult q = service_.run_one(
+      0, MinQuantumRequest{Scheduler::EDF, period, false,
+                           AccuracyPolicy::fixed(1u << 14)});
   core::ModeSchedule schedule;
   schedule.period = period;
   schedule.nf = {q.mode_quantum[2] * 0.5, 0.0};  // far below minQ: a true no
-  const VerifyResult r = service_.verify_one(
-      0, {Scheduler::EDF, schedule, false,
+  const VerifyResult r = service_.run_one(
+      0, VerifyRequest{Scheduler::EDF, schedule, false,
           AccuracyPolicy::adaptive(1e-4, 1u << 6, 1u << 16)
               .with_deadline(1e-6)});
   ASSERT_TRUE(r.ok());

@@ -122,7 +122,7 @@ JournalStats journaled_study(const std::string& path,
           sys::MutexLock lock(executed_mu);
           executed->push_back(i);
         }
-        return service.solve_one(i, req);
+        return service.run_one(i, req);
       },
       [&](const SolveResult& r) {
         const std::string row = study_trial_row(r, req.alg, req.goal);
@@ -139,7 +139,7 @@ std::string streamed_reference(const AnalysisService& service,
   std::ostringstream os;
   JsonlWriter out(os);
   StudyAggregate agg;
-  service.solve(req, [&](const SolveResult& r) {
+  service.run(req, [&](const SolveResult& r) {
     const std::string row = study_trial_row(r, req.alg, req.goal);
     out.write(row);
     agg.add(row);
@@ -610,7 +610,7 @@ TEST(JournalInterrupt, StopFlagFinishesInFlightEntryAndLeavesResumablePartial) {
         },
         [&](std::size_t i) {
           if (i == 3) stop.store(true);
-          return service.solve_one(i, req);
+          return service.run_one(i, req);
         },
         [&](const SolveResult& r) {
           const std::string row = study_trial_row(r, req.alg, req.goal);

@@ -41,7 +41,8 @@ TEST_F(ServiceOnPaperExample, SolveMatchesSolveDesignBitForBit) {
          {core::DesignGoal::MinOverheadBandwidth,
           core::DesignGoal::MaxSlackBandwidth}) {
       const core::Overheads ov{0.01, 0.02, 0.02};
-      const SolveResult r = service_.solve_one(0, {alg, ov, goal, {}, {}});
+      const SolveResult r = service_.run_one(0, SolveRequest{alg, ov, goal, {},
+                                                             {}});
       ASSERT_TRUE(r.ok()) << r.error;
       ASSERT_TRUE(r.feasible);
       const core::Design d = core::solve_design(sys_, alg, ov, goal);
@@ -59,7 +60,7 @@ TEST_F(ServiceOnPaperExample, MinQuantumMatchesEngineBitForBit) {
     const analysis::BatchEngine engine(sys_, alg);
     for (const double period : {0.5, 1.0, 2.0}) {
       const MinQuantumResult r =
-          service_.min_quantum_one(0, {alg, period, false, {}});
+          service_.run_one(0, MinQuantumRequest{alg, period, false, {}});
       ASSERT_TRUE(r.ok());
       for (std::size_t m = 0; m < core::kAllModes.size(); ++m) {
         EXPECT_EQ(r.mode_quantum[m],
@@ -79,7 +80,7 @@ TEST_F(ServiceOnPaperExample, RegionSweepMatchesEngineBitForBit) {
   opts.grid_step = 0.1;
   const analysis::BatchEngine engine(sys_, Scheduler::EDF);
   const RegionSweepResult r =
-      service_.region_sweep_one(0, {Scheduler::EDF, opts, {}});
+      service_.run_one(0, RegionSweepRequest{Scheduler::EDF, opts, {}});
   ASSERT_TRUE(r.ok());
   const std::vector<core::RegionSample> want = engine.sample_region(opts);
   ASSERT_EQ(r.samples.size(), want.size());
@@ -96,7 +97,7 @@ TEST_F(ServiceOnPaperExample, SensitivityMatchesEngineBitForBit) {
   SensitivityRequest req;
   req.alg = Scheduler::EDF;
   req.schedule = d.schedule;
-  const SensitivityResult r = service_.sensitivity_one(0, req);
+  const SensitivityResult r = service_.run_one(0, req);
   ASSERT_TRUE(r.ok());
   const analysis::BatchEngine engine(sys_, Scheduler::EDF);
   const std::vector<core::TaskMargin> want =
@@ -110,7 +111,7 @@ TEST_F(ServiceOnPaperExample, SensitivityMatchesEngineBitForBit) {
 
   // Single-task form: one row, matching the all-tasks report.
   req.task = want.at(2).name;
-  const SensitivityResult one = service_.sensitivity_one(0, req);
+  const SensitivityResult one = service_.run_one(0, req);
   ASSERT_EQ(one.margins.size(), 1u);
   EXPECT_EQ(one.margins[0].name, want[2].name);
   EXPECT_EQ(one.margins[0].scale_margin, want[2].scale_margin);
@@ -122,7 +123,7 @@ TEST_F(ServiceOnPaperExample, VerifyRoundTrip) {
       sys_, Scheduler::EDF, {0.0, 0.0, 0.0},
       core::DesignGoal::MaxSlackBandwidth);
   const VerifyResult good =
-      service_.verify_one(0, {Scheduler::EDF, d.schedule, false, {}});
+      service_.run_one(0, VerifyRequest{Scheduler::EDF, d.schedule, false, {}});
   ASSERT_TRUE(good.ok());
   EXPECT_TRUE(good.schedulable);
   EXPECT_TRUE(good.prov.dl_exact);
@@ -130,7 +131,7 @@ TEST_F(ServiceOnPaperExample, VerifyRoundTrip) {
   core::ModeSchedule broken = d.schedule;
   broken.ft.usable *= 0.5;  // starve the FT channel
   const VerifyResult bad =
-      service_.verify_one(0, {Scheduler::EDF, broken, false, {}});
+      service_.run_one(0, VerifyRequest{Scheduler::EDF, broken, false, {}});
   ASSERT_TRUE(bad.ok());
   EXPECT_FALSE(bad.schedulable);
 }
@@ -139,7 +140,7 @@ TEST_F(ServiceOnPaperExample, VerifyRoundTrip) {
 
 TEST_F(ServiceOnPaperExample, FixedPolicyReportsExactProvenance) {
   const MinQuantumResult r =
-      service_.min_quantum_one(0, {Scheduler::EDF, 1.0, false, {}});
+      service_.run_one(0, MinQuantumRequest{Scheduler::EDF, 1.0, false, {}});
   ASSERT_TRUE(r.ok());
   EXPECT_TRUE(r.prov.dl_exact);  // paper example's dlSet fits the budget
   EXPECT_EQ(r.prov.budget, rt::kDefaultDlPointBudget);
@@ -156,8 +157,8 @@ TEST_F(ServiceOnPaperExample, AdaptiveLadderReachesTheExactAnswer) {
   const MinQuantumRequest fixed{Scheduler::EDF, 1.0, false, {}};
   MinQuantumRequest adaptive = fixed;
   adaptive.accuracy = AccuracyPolicy::adaptive(1e-6, /*initial_points=*/4);
-  const MinQuantumResult want = service_.min_quantum_one(0, fixed);
-  const MinQuantumResult got = service_.min_quantum_one(0, adaptive);
+  const MinQuantumResult want = service_.run_one(0, fixed);
+  const MinQuantumResult got = service_.run_one(0, adaptive);
   ASSERT_TRUE(got.ok());
   EXPECT_TRUE(got.prov.dl_exact);
   ASSERT_TRUE(got.prov.gap.has_value());
@@ -188,7 +189,7 @@ TEST_F(ServiceOnStressSet, AdaptiveMinQuantumConvergesAndReportsBudget) {
   const double period = 0.4;
   MinQuantumRequest small{Scheduler::EDF, period, false,
                           AccuracyPolicy::fixed(1u << 8)};
-  const MinQuantumResult at_small = service_.min_quantum_one(0, small);
+  const MinQuantumResult at_small = service_.run_one(0, small);
   ASSERT_TRUE(at_small.ok());
   EXPECT_FALSE(at_small.prov.dl_exact);  // hyperperiod-hostile: condensed
   EXPECT_FALSE(at_small.prov.gap.has_value());  // fixed + condensed: unknown
@@ -196,7 +197,7 @@ TEST_F(ServiceOnStressSet, AdaptiveMinQuantumConvergesAndReportsBudget) {
   const double tol = 1e-3;
   MinQuantumRequest adaptive = small;
   adaptive.accuracy = AccuracyPolicy::adaptive(tol, 1u << 8, 1u << 18);
-  const MinQuantumResult r = service_.min_quantum_one(0, adaptive);
+  const MinQuantumResult r = service_.run_one(0, adaptive);
   ASSERT_TRUE(r.ok());
   // Converged: the answer moved <= tol in the last round (or turned exact),
   // strictly before the budget cap -- the stop was the tolerance, not
@@ -241,8 +242,9 @@ TEST_F(ServiceOnFpStressSet, FixedPolicyMatchesDirectEngineBitForBit) {
   dl_opts.max_points = budget;
   const analysis::BatchEngine engine(service_.system(0), Scheduler::FP,
                                      dl_opts, fp_opts);
-  const MinQuantumResult r = service_.min_quantum_one(
-      0, {Scheduler::FP, period, false, AccuracyPolicy::fixed(budget)});
+  const MinQuantumResult r = service_.run_one(
+      0, MinQuantumRequest{Scheduler::FP, period, false,
+                           AccuracyPolicy::fixed(budget)});
   ASSERT_TRUE(r.ok());
   for (std::size_t m = 0; m < core::kAllModes.size(); ++m) {
     EXPECT_EQ(r.mode_quantum[m],
@@ -259,8 +261,9 @@ TEST_F(ServiceOnFpStressSet, FixedPolicyMatchesDirectEngineBitForBit) {
   core::ModeSchedule schedule;
   schedule.period = period;
   schedule.nf = {std::min(period, r.mode_quantum[2] * 1.001), 0.0};
-  const VerifyResult v = service_.verify_one(
-      0, {Scheduler::FP, schedule, false, AccuracyPolicy::fixed(budget)});
+  const VerifyResult v = service_.run_one(
+      0, VerifyRequest{Scheduler::FP, schedule, false,
+                       AccuracyPolicy::fixed(budget)});
   ASSERT_TRUE(v.ok());
   EXPECT_EQ(v.schedulable, engine.verify(schedule));
   EXPECT_TRUE(v.schedulable);
@@ -269,14 +272,15 @@ TEST_F(ServiceOnFpStressSet, FixedPolicyMatchesDirectEngineBitForBit) {
 
 TEST_F(ServiceOnFpStressSet, AdaptiveFpLadderConvergesAndReportsBudget) {
   const double period = 0.8;
-  const MinQuantumResult at_small = service_.min_quantum_one(
-      0, {Scheduler::FP, period, false, AccuracyPolicy::fixed(1u << 5)});
+  const MinQuantumResult at_small = service_.run_one(
+      0, MinQuantumRequest{Scheduler::FP, period, false,
+                           AccuracyPolicy::fixed(1u << 5)});
   ASSERT_TRUE(at_small.ok());
   EXPECT_FALSE(at_small.prov.fp_exact);
 
   const double tol = 1e-3;
-  const MinQuantumResult r = service_.min_quantum_one(
-      0, {Scheduler::FP, period, false,
+  const MinQuantumResult r = service_.run_one(
+      0, MinQuantumRequest{Scheduler::FP, period, false,
           AccuracyPolicy::adaptive(tol, 1u << 5, 1u << 14)});
   ASSERT_TRUE(r.ok());
   // Converged within the cap: the stop was the tolerance or exactness.
@@ -290,8 +294,9 @@ TEST_F(ServiceOnFpStressSet, AdaptiveFpLadderConvergesAndReportsBudget) {
 }
 
 TEST_F(ServiceOnStressSet, EdfRequestsReportTrivialFpProvenance) {
-  const MinQuantumResult r = service_.min_quantum_one(
-      0, {Scheduler::EDF, 0.4, false, AccuracyPolicy::fixed(1u << 8)});
+  const MinQuantumResult r = service_.run_one(
+      0, MinQuantumRequest{Scheduler::EDF, 0.4, false,
+                           AccuracyPolicy::fixed(1u << 8)});
   ASSERT_TRUE(r.ok());
   EXPECT_TRUE(r.prov.fp_exact);  // FP side never consulted under EDF
   EXPECT_EQ(r.prov.fp_budget, 0u);
@@ -301,8 +306,9 @@ TEST_F(ServiceOnStressSet, BudgetLadderIsMonotoneNonWorsening) {
   const double period = 0.4;
   double prev = std::numeric_limits<double>::infinity();
   for (const std::size_t budget : {1u << 8, 1u << 10, 1u << 12, 1u << 14}) {
-    const MinQuantumResult r = service_.min_quantum_one(
-        0, {Scheduler::EDF, period, false, AccuracyPolicy::fixed(budget)});
+    const MinQuantumResult r = service_.run_one(
+        0, MinQuantumRequest{Scheduler::EDF, period, false,
+                             AccuracyPolicy::fixed(budget)});
     ASSERT_TRUE(r.ok());
     EXPECT_LE(r.mode_quantum[2], prev + 1e-9) << "budget " << budget;
     prev = r.mode_quantum[2];
@@ -322,7 +328,7 @@ TEST_F(ServiceOnStressSet, CappedLadderReportsUnknownGapAndCapParity) {
   // climbs to the cap while the condensed answer is still refining.
   MinQuantumRequest req{Scheduler::EDF, period, false,
                         AccuracyPolicy::adaptive(/*tol=*/-1.0, 1u << 6, cap)};
-  const MinQuantumResult capped = service_.min_quantum_one(0, req);
+  const MinQuantumResult capped = service_.run_one(0, req);
   ASSERT_TRUE(capped.ok());
   EXPECT_FALSE(capped.prov.dl_exact);  // still condensed at the cap
   EXPECT_GT(capped.prov.probes, 1u);   // the ladder did climb
@@ -330,8 +336,9 @@ TEST_F(ServiceOnStressSet, CappedLadderReportsUnknownGapAndCapParity) {
   EXPECT_FALSE(capped.prov.gap.has_value()) << "unconverged capped ladder "
                                                "must not report a gap";
 
-  const MinQuantumResult fixed = service_.min_quantum_one(
-      0, {Scheduler::EDF, period, false, AccuracyPolicy::fixed(cap)});
+  const MinQuantumResult fixed = service_.run_one(
+      0, MinQuantumRequest{Scheduler::EDF, period, false,
+                           AccuracyPolicy::fixed(cap)});
   for (std::size_t m = 0; m < core::kAllModes.size(); ++m) {
     EXPECT_EQ(capped.mode_quantum[m], fixed.mode_quantum[m]);
   }
@@ -344,17 +351,78 @@ TEST_F(ServiceOnStressSet, AdaptiveVerifyEscalatesACondensedNo) {
   // with either schedulable, exact, or the cap -- and a condensed "yes"
   // must never be re-probed into a "no".
   const double period = 0.4;
-  const MinQuantumResult q = service_.min_quantum_one(
-      0, {Scheduler::EDF, period, false, AccuracyPolicy::fixed(1u << 14)});
+  const MinQuantumResult q = service_.run_one(
+      0, MinQuantumRequest{Scheduler::EDF, period, false,
+                           AccuracyPolicy::fixed(1u << 14)});
   core::ModeSchedule schedule;
   schedule.period = period;
   schedule.nf = {q.mode_quantum[2] * 1.001, 0.0};
   VerifyRequest req{Scheduler::EDF, schedule, false,
                     AccuracyPolicy::adaptive(1e-4, 1u << 6, 1u << 16)};
-  const VerifyResult r = service_.verify_one(0, req);
+  const VerifyResult r = service_.run_one(0, req);
   ASSERT_TRUE(r.ok());
   EXPECT_TRUE(r.schedulable);  // quantum sits above a finer-budget minQ
   EXPECT_GE(r.prov.budget, std::size_t{1} << 6);
+}
+
+// --- verify provenance: the escalation ladder's stop table ----------------
+
+TEST_F(ServiceOnPaperExample, VerifyProvenanceFollowsTheLadderStopTable) {
+  // On the paper example the deadline sets are condensed at budgets 4 and
+  // 8 and exact from 16 on. The designed schedule is a condensed "no" at
+  // 4 and 8 and an exact "yes" at 16; the same schedule with every quantum
+  // 10% larger is already a condensed "yes" at budget 4. A condensed "yes"
+  // is definitive (gap 0, no escalation) under every policy; a condensed
+  // "no" stops where the policy says: fixed at once (gap unknown),
+  // adaptive at the first exact rung (gap 0), capped adaptive at the cap
+  // (gap unknown), an elapsed deadline after the first rung (degraded).
+  const core::ModeSchedule designed =
+      service_.run_one(0, SolveRequest{Scheduler::EDF, {0.01, 0.01, 0.01},
+                       core::DesignGoal::MaxSlackBandwidth, {}, {}})
+          .design.schedule;
+  core::ModeSchedule roomy = designed;
+  for (core::Slot* slot : {&roomy.ft, &roomy.fs, &roomy.nf}) {
+    slot->usable *= 1.1;
+  }
+  struct Row {
+    const char* policy;
+    AccuracyPolicy accuracy;
+    bool schedulable;
+    std::size_t probes;
+    std::size_t budget;
+    std::optional<double> gap;
+    bool degraded;
+  };
+  const AccuracyPolicy fixed = AccuracyPolicy::fixed(4);
+  const AccuracyPolicy adaptive = AccuracyPolicy::adaptive(1e-6, 4);
+  const AccuracyPolicy capped = AccuracyPolicy::adaptive(1e-6, 4, 8);
+  const AccuracyPolicy late = adaptive.with_deadline(1e-6);
+  const std::vector<std::pair<core::ModeSchedule, std::vector<Row>>> table = {
+      {roomy,
+       {{"fixed", fixed, true, 1, 4, 0.0, false},
+        {"adaptive", adaptive, true, 1, 4, 0.0, false},
+        {"adaptive-capped", capped, true, 1, 4, 0.0, false},
+        {"adaptive+deadline", late, true, 1, 4, 0.0, false}}},
+      {designed,
+       {{"fixed", fixed, false, 1, 4, std::nullopt, false},
+        {"adaptive", adaptive, true, 3, 16, 0.0, false},
+        {"adaptive-capped", capped, false, 2, 8, std::nullopt, false},
+        {"adaptive+deadline", late, false, 1, 4, std::nullopt, true}}}};
+  for (const auto& [schedule, rows] : table) {
+    for (const Row& want : rows) {
+      const VerifyResult r =
+          service_.run_one(0, VerifyRequest{Scheduler::EDF, schedule, false,
+                                            want.accuracy});
+      SCOPED_TRACE(std::string(want.policy) +
+                   (&schedule == &table[0].first ? " / roomy" : " / designed"));
+      ASSERT_TRUE(r.ok()) << r.error;
+      EXPECT_EQ(r.schedulable, want.schedulable);
+      EXPECT_EQ(r.prov.probes, want.probes);
+      EXPECT_EQ(r.prov.budget, want.budget);
+      EXPECT_EQ(r.prov.gap, want.gap);
+      EXPECT_EQ(r.prov.degraded, want.degraded);
+    }
+  }
 }
 
 // --- fleets ---------------------------------------------------------------
@@ -377,7 +445,7 @@ TEST(ServiceFleet, GeneratedFleetIsShardLayoutIndependent) {
                          core::DesignGoal::MinOverheadBandwidth,
                          opts,
                          {}};
-  const std::vector<SolveResult> want = reference.solve(req);
+  const std::vector<SolveResult> want = reference.run(req);
   ASSERT_EQ(want.size(), 7u);
 
   std::vector<double> assembled(whole.trials, -2.0);
@@ -386,7 +454,7 @@ TEST(ServiceFleet, GeneratedFleetIsShardLayoutIndependent) {
     core::StudyOptions shard = whole;
     shard.shard = {k, 2};
     part.add_fleet(shard, factory);
-    for (const SolveResult& r : part.solve(req)) {
+    for (const SolveResult& r : part.run(req)) {
       ASSERT_NE(r.trial, kNoTrial);
       assembled[r.trial] =
           r.ok() && r.feasible ? r.design.schedule.period : -1.0;
@@ -413,7 +481,8 @@ TEST(ServiceFleet, PackFailureBecomesAnswerlessEntry) {
   EXPECT_TRUE(service.has_system(0));
   EXPECT_FALSE(service.has_system(1));
   const std::vector<SolveResult> rs =
-      service.solve({Scheduler::EDF, {}, core::DesignGoal::MinOverheadBandwidth,
+      service.run(SolveRequest{Scheduler::EDF, {},
+                               core::DesignGoal::MinOverheadBandwidth,
                      {}, {}});
   EXPECT_TRUE(rs[0].ok());
   EXPECT_FALSE(rs[1].ok());

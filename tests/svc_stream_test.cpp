@@ -57,7 +57,7 @@ std::string streamed_report(const AnalysisService& service,
   std::ostringstream os;
   JsonlWriter out(os);
   StudyAggregate agg;
-  const StreamStats stats = service.solve(req, [&](const SolveResult& r) {
+  const StreamStats stats = service.run(req, [&](const SolveResult& r) {
     const std::string row =
         study_trial_row(r, req.alg, core::DesignGoal::MinOverheadBandwidth);
     out.write(row);
@@ -72,11 +72,11 @@ TEST(SvcStream, SinkSeesTheBufferedSequenceExactly) {
   AnalysisService service;
   service.add_fleet(whole_study(), test_factory());
   const SolveRequest req = solve_request();
-  const std::vector<SolveResult> want = service.solve(req);
+  const std::vector<SolveResult> want = service.run(req);
 
   std::vector<SolveResult> got;
   const StreamStats stats =
-      service.solve(req, [&](const SolveResult& r) { got.push_back(r); });
+      service.run(req, [&](const SolveResult& r) { got.push_back(r); });
   EXPECT_EQ(stats.emitted, want.size());
   ASSERT_EQ(got.size(), want.size());
   for (std::size_t i = 0; i < want.size(); ++i) {
@@ -108,8 +108,8 @@ TEST(SvcStream, EveryRequestTypeStreamsInEntryOrder) {
   std::vector<std::size_t> order;
 
   order.clear();
-  expect_ordered(service.min_quantum(
-                     {Scheduler::EDF, 1.0, false, {}},
+  expect_ordered(service.run(
+                     MinQuantumRequest{Scheduler::EDF, 1.0, false, {}},
                      [&](const MinQuantumResult& r) { order.push_back(r.system); }),
                  order, service.size());
 
@@ -119,8 +119,8 @@ TEST(SvcStream, EveryRequestTypeStreamsInEntryOrder) {
   opts.p_max = 1.5;
   opts.grid_step = 0.5;
   expect_ordered(
-      service.region_sweep(
-          {Scheduler::EDF, opts, {}},
+      service.run(
+          RegionSweepRequest{Scheduler::EDF, opts, {}},
           [&](const RegionSweepResult& r) { order.push_back(r.system); }),
       order, service.size());
 
@@ -133,7 +133,7 @@ TEST(SvcStream, EveryRequestTypeStreamsInEntryOrder) {
   sreq.alg = Scheduler::EDF;
   sreq.schedule = d.schedule;
   sreq.include_global = false;
-  expect_ordered(service.sensitivity(sreq,
+  expect_ordered(service.run(sreq,
                                      [&](const SensitivityResult& r) {
                                        order.push_back(r.system);
                                      }),
@@ -141,7 +141,7 @@ TEST(SvcStream, EveryRequestTypeStreamsInEntryOrder) {
 
   order.clear();
   expect_ordered(
-      service.verify({Scheduler::EDF, d.schedule, false, {}},
+      service.run(VerifyRequest{Scheduler::EDF, d.schedule, false, {}},
                      [&](const VerifyResult& r) { order.push_back(r.system); }),
       order, service.size());
 }
@@ -157,7 +157,7 @@ TEST(SvcStream, StreamedBytesEqualBufferedBytes) {
   {
     JsonlWriter out(buffered);
     StudyAggregate agg;
-    for (const SolveResult& r : service.solve(req)) {
+    for (const SolveResult& r : service.run(req)) {
       const std::string row =
           study_trial_row(r, req.alg, core::DesignGoal::MinOverheadBandwidth);
       out.write(row);
@@ -208,8 +208,8 @@ TEST(SvcStream, PeakBufferingIsBoundedByTheWindow) {
   });
   for (const std::size_t window : {1u, 3u, 16u}) {
     std::size_t emitted = 0;
-    const StreamStats stats = service.min_quantum(
-        {Scheduler::EDF, 1.0, false, {}},
+    const StreamStats stats = service.run(
+        MinQuantumRequest{Scheduler::EDF, 1.0, false, {}},
         [&](const MinQuantumResult&) { ++emitted; }, window);
     EXPECT_EQ(emitted, 64u);
     EXPECT_EQ(stats.window, window);

@@ -229,54 +229,54 @@ int main(int argc, char** argv) {
                     })});
   }
 
-  // --- sharded study driver: serial trials vs the parallel_for pool -------
-  // Near-linear scaling across FLEXRT_THREADS shows up as speedup ~=
-  // "threads" (both paths run identical per-trial work).
+  // --- fleet runner: a serial run_one loop vs run() on the pool ----------
+  // Both paths run identical per-entry work (the same generated 12-task
+  // systems and solve request), so near-linear scaling across
+  // FLEXRT_THREADS shows up as speedup ~= "threads".
   {
-    const auto trial = [](std::size_t, Rng& trial_rng) {
+    svc::AnalysisService service;
+    core::StudyOptions study;
+    study.trials = 4 * par::thread_count();
+    service.add_fleet(study, [](std::size_t, Rng& trial_rng) {
       gen::GenParams trial_gp;
       trial_gp.num_tasks = 12;
       trial_gp.total_utilization = 1.1;
-      const rt::TaskSet ts = gen::generate_task_set(trial_gp, trial_rng);
-      const auto trial_sys = gen::build_system(ts);
-      if (!trial_sys) return 0.0;
-      core::SearchOptions opts;
-      opts.grid_step = 2e-2;
-      opts.p_max = 8.0;
-      try {
-        return core::max_feasible_period(*trial_sys, hier::Scheduler::EDF,
-                                         0.05, opts);
-      } catch (const InfeasibleError&) {
-        return 0.0;
-      }
+      return gen::build_system(gen::generate_task_set(trial_gp, trial_rng));
+    });
+    core::SearchOptions opts;
+    opts.grid_step = 2e-2;
+    opts.p_max = 8.0;
+    const svc::SolveRequest req{hier::Scheduler::EDF,
+                                {0.05, 0.0, 0.0},
+                                core::DesignGoal::MinOverheadBandwidth,
+                                opts,
+                                {}};
+    const auto period = [](const svc::SolveResult& r) {
+      return r.feasible ? r.design.schedule.period : 0.0;
     };
-    core::StudyOptions study;
-    study.trials = 4 * par::thread_count();
-    rows.push_back(
-        {"study_trials_e10",
-         time_ns([&] {
-           double acc = 0.0;
-           for (std::size_t i = 0; i < study.trials; ++i) {
-             Rng seeded = core::trial_rng(study.base_seed, i);
-             acc += trial(i, seeded);
-           }
-           return acc;
-         }),
-         time_ns([&] {
-           const auto slice = core::run_study(study, trial);
-           double acc = 0.0;
-           for (const double p : slice.rows) acc += p;
-           return acc;
-         })});
+    rows.push_back({"study_trials_e10", time_ns([&] {
+                      double acc = 0.0;
+                      for (std::size_t i = 0; i < service.size(); ++i) {
+                        acc += period(service.run_one(i, req));
+                      }
+                      return acc;
+                    }),
+                    time_ns([&] {
+                      double acc = 0.0;
+                      for (const svc::SolveResult& r : service.run(req)) {
+                        acc += period(r);
+                      }
+                      return acc;
+                    })});
   }
 
   // --- streaming fleet execution: peak result buffering vs fleet size -----
-  // The service's streaming variant reassembles results through a bounded
-  // reorder window, so peak buffered rows is O(window) while the buffered
-  // path holds the whole fleet. Rows (not ns) are the headline here: this
-  // is the memory bound that makes 10^5+-trial studies feasible.
+  // run() reassembles results through a bounded reorder window, so peak
+  // buffered rows is O(window), not O(fleet). Rows (not ns) are the
+  // headline here: this is the memory bound that makes 10^5+-trial studies
+  // feasible. serial_ms is the same fleet as a run_one loop on this thread.
   std::size_t fleet_entries = 0, fleet_window = 0, fleet_peak = 0;
-  double fleet_buffered_ms = 0.0, fleet_streamed_ms = 0.0;
+  double fleet_serial_ms = 0.0, fleet_streamed_ms = 0.0;
   {
     svc::AnalysisService service;
     core::StudyOptions study;
@@ -285,18 +285,20 @@ int main(int argc, char** argv) {
                       [](std::size_t, Rng& fleet_rng) { return gen::study_system(fleet_rng); });
     fleet_entries = service.size();
     const svc::MinQuantumRequest req{hier::Scheduler::EDF, 1.0, false, {}};
-    (void)service.min_quantum(req);  // warm the engine cache for both paths
-    const auto t0 = Clock::now();
-    const auto buffered = service.min_quantum(req);
-    const auto t1 = Clock::now();
+    (void)service.run(req);  // warm the engine cache for both paths
     double sink_acc = 0.0;
-    const svc::StreamStats stats = service.min_quantum(
+    const auto t0 = Clock::now();
+    for (std::size_t i = 0; i < service.size(); ++i) {
+      sink_acc += service.run_one(i, req).margin;
+    }
+    const auto t1 = Clock::now();
+    const svc::StreamStats stats = service.run(
         req, [&](const svc::MinQuantumResult& r) { sink_acc += r.margin; });
     const auto t2 = Clock::now();
-    g_sink = sink_acc + buffered.back().margin;
+    g_sink = sink_acc;
     fleet_window = stats.window;
     fleet_peak = stats.max_buffered;
-    fleet_buffered_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
+    fleet_serial_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
     fleet_streamed_ms = std::chrono::duration<double, std::milli>(t2 - t1).count();
   }
 
@@ -315,7 +317,7 @@ int main(int argc, char** argv) {
                       [](std::size_t, Rng& fleet_rng) { return gen::study_system(fleet_rng); });
     journal_entries = service.size();
     const svc::MinQuantumRequest req{hier::Scheduler::EDF, 1.0, false, {}};
-    (void)service.min_quantum(req);  // warm the engine cache
+    (void)service.run(req);  // warm the engine cache
     const std::string path = out_path + ".journal_bench.jsonl";
     const auto timed_run = [&](bool fsync_per_entry) {
       svc::Journal journal(path);
@@ -325,7 +327,7 @@ int main(int argc, char** argv) {
       svc::run_journaled(
           journal, service.size(), opts,
           [](std::string_view) { return true; },  // one row per entry
-          {}, [&](std::size_t i) { return service.min_quantum_one(i, req); },
+          {}, [&](std::size_t i) { return service.run_one(i, req); },
           [&](const svc::MinQuantumResult& r) {
             svc::JsonRow row;
             row.field("kind", "min_quantum")
@@ -450,9 +452,9 @@ int main(int argc, char** argv) {
       return text;
     };
     const auto t0 = Clock::now();
-    const auto cold = service.min_quantum(req);
+    const auto cold = service.run(req);
     const auto t1 = Clock::now();
-    const auto warm = service.min_quantum(req);
+    const auto warm = service.run(req);
     const auto t2 = Clock::now();
     memo_cold_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
     memo_warm_ms = std::chrono::duration<double, std::milli>(t2 - t1).count();
@@ -469,11 +471,11 @@ int main(int argc, char** argv) {
   }
   std::fprintf(out, "{\n  \"schema\": \"flexrt-bench-micro/1\",\n");
   std::fprintf(out,
-               "  \"stream_fleet\": {\"entries\": %zu, \"buffered_rows\": %zu, "
+               "  \"stream_fleet\": {\"entries\": %zu, "
                "\"stream_window\": %zu, \"stream_peak_rows\": %zu, "
-               "\"buffered_ms\": %.2f, \"streamed_ms\": %.2f},\n",
-               fleet_entries, fleet_entries, fleet_window, fleet_peak,
-               fleet_buffered_ms, fleet_streamed_ms);
+               "\"serial_ms\": %.2f, \"streamed_ms\": %.2f},\n",
+               fleet_entries, fleet_window, fleet_peak, fleet_serial_ms,
+               fleet_streamed_ms);
   std::fprintf(out,
                "  \"journal_fleet\": {\"entries\": %zu, \"journal_ms\": %.2f, "
                "\"journal_fsync_ms\": %.2f},\n",
@@ -510,10 +512,10 @@ int main(int argc, char** argv) {
                 r.legacy_ns / r.engine_ns);
   }
   std::printf(
-      "stream_fleet                 %zu entries: buffered %zu rows, streamed "
-      "peak %zu rows (window %zu); %.1f ms vs %.1f ms\n",
-      fleet_entries, fleet_entries, fleet_peak, fleet_window,
-      fleet_buffered_ms, fleet_streamed_ms);
+      "stream_fleet                 %zu entries: streamed peak %zu rows "
+      "(window %zu); serial %.1f ms vs streamed %.1f ms\n",
+      fleet_entries, fleet_peak, fleet_window, fleet_serial_ms,
+      fleet_streamed_ms);
   std::printf(
       "journal_fleet                %zu entries: journaled %.1f ms, "
       "fsync-per-entry %.1f ms\n",

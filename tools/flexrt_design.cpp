@@ -159,16 +159,18 @@ int cmd_help() {
   return 0;
 }
 
-/// A journaled run (--output) of `n` entries: each entry's rows are the
-/// shared emitter's, wall-free (resume byte identity needs deterministic
-/// rows), appended to FILE.partial and published by atomic rename. The exit
-/// code is the max over rendered and replayed rows: 3 for a quarantined
-/// entry, 1 for an error or infeasible row when `errors_are_failures`
-/// (study rows are exempt: an unpackable trial is study data), or 4 when
-/// SIGINT/SIGTERM cut the run short (--resume finishes it byte-identically).
-template <typename Run, typename Emit>
-int run_journal(std::size_t n, const CommonOpts& o, std::string_view terminal,
-                bool errors_are_failures, const Run& run, const Emit& emit,
+/// A journaled run (--output) of `req` over the fleet: each entry's rows
+/// are the shared emitter's, wall-free (resume byte identity needs
+/// deterministic rows), appended to FILE.partial and published by atomic
+/// rename. The exit code is the max over rendered and replayed rows: 3 for
+/// a quarantined entry, 1 for an error or infeasible row when
+/// `errors_are_failures` (study rows are exempt: an unpackable trial is
+/// study data), or 4 when SIGINT/SIGTERM cut the run short (--resume
+/// finishes it byte-identically).
+template <typename Request, typename Emit>
+int run_journal(const svc::AnalysisService& service, const Request& req,
+                const CommonOpts& o, std::string_view terminal,
+                bool errors_are_failures, const Emit& emit,
                 const svc::Journal::RowCallback& replay = {},
                 const std::function<std::string()>& epilogue = {}) {
   sys::install_stop_signals();
@@ -177,7 +179,7 @@ int run_journal(std::size_t n, const CommonOpts& o, std::string_view terminal,
   svc::Journal journal(o.output);
   int rc = 0;
   const svc::JournalStats stats = svc::run_journaled(
-      journal, n, jopts,
+      journal, service.size(), jopts,
       [&](std::string_view row) {
         return svc::json_string_field(row, "kind").value_or("") == terminal;
       },
@@ -191,7 +193,7 @@ int run_journal(std::size_t n, const CommonOpts& o, std::string_view terminal,
         }
         if (replay) replay(row);
       },
-      run,
+      [&](std::size_t i) { return service.run_one(i, req); },
       [&](const auto& r) {
         std::ostringstream block;
         svc::JsonlWriter w(block);
@@ -314,7 +316,7 @@ int print_solve_human(const svc::AnalysisService& service,
     sreq.alg = req.alg;
     sreq.schedule = d.schedule;
     sreq.accuracy = req.accuracy;
-    const svc::SensitivityResult s = service.sensitivity_one(r.system, sreq);
+    const svc::SensitivityResult s = service.run_one(r.system, sreq);
     Table st({"task", "mode", "wcet", "scale_margin"});
     for (const core::TaskMargin& m : s.margins) {
       st.row()
@@ -452,8 +454,7 @@ int cmd_sweep(const std::vector<std::string>& rest) {
     // Error and quarantined entries journal as a lone terminal error row:
     // the fleet carries on.
     return run_journal(
-        service.size(), cmd.opts, "sweep", /*errors_are_failures=*/true,
-        [&](std::size_t i) { return service.region_sweep_one(i, req); },
+        service, req, cmd.opts, "sweep", /*errors_are_failures=*/true,
         [&](svc::JsonlWriter& w, const svc::RegionSweepResult& r) {
           return proto::emit(w, r, req, /*with_wall=*/false);
         });
@@ -556,8 +557,7 @@ int cmd_fault_sweep(const std::vector<std::string>& rest) {
   const svc::FaultSweepRequest& req = cmd.req;
   if (cmd.opts.journaled()) {
     return run_journal(
-        service.size(), cmd.opts, "fault_sweep", /*errors_are_failures=*/true,
-        [&](std::size_t i) { return service.fault_sweep_one(i, req); },
+        service, req, cmd.opts, "fault_sweep", /*errors_are_failures=*/true,
         [&](svc::JsonlWriter& w, const svc::FaultSweepResult& r) {
           return proto::emit(w, r, req, /*with_wall=*/false);
         });
@@ -591,9 +591,7 @@ int cmd_study(const std::vector<std::string>& rest) {
     std::function<std::string()> epilogue;
     if (summary) epilogue = [&agg] { return agg.summary_row() + "\n"; };
     return run_journal(
-        service.size(), cmd.opts, "study_trial",
-        /*errors_are_failures=*/false,
-        [&](std::size_t i) { return service.solve_one(i, req); },
+        service, req, cmd.opts, "study_trial", /*errors_are_failures=*/false,
         [&](svc::JsonlWriter& w, const svc::SolveResult& r) {
           return proto::emit_study_trial(w, r, req, agg);
         },
@@ -608,7 +606,7 @@ int cmd_study(const std::vector<std::string>& rest) {
   }
 
   svc::JsonlWriter out(std::cout, /*flush_per_row=*/cmd.opts.stream);
-  service.solve(req, [&](const svc::SolveResult& r) {
+  service.run(req, [&](const svc::SolveResult& r) {
     if (cmd.opts.jsonl) {
       proto::emit_study_trial(out, r, req, agg);
     } else {
