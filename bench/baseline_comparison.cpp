@@ -25,7 +25,7 @@
 #include "baseline/static_config.hpp"
 #include "common/rng.hpp"
 #include "common/table.hpp"
-#include "core/integration.hpp"
+#include "core/analysis_engine.hpp"
 #include "gen/taskset_gen.hpp"
 
 using namespace flexrt;
@@ -39,7 +39,8 @@ bool flexible_accepts(const rt::TaskSet& ts, double o_tot) {
   opts.grid_step = 5e-3;
   opts.p_max = 10.0;
   try {
-    core::max_feasible_period(*sys, hier::Scheduler::EDF, o_tot, opts);
+    analysis::BatchEngine(*sys, hier::Scheduler::EDF)
+        .max_feasible_period(o_tot, opts);
     return true;
   } catch (const InfeasibleError&) {
     return false;

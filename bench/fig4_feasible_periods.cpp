@@ -24,7 +24,7 @@
 #include "bench_args.hpp"
 #include "common/error.hpp"
 #include "common/table.hpp"
-#include "core/integration.hpp"
+#include "core/analysis_engine.hpp"
 #include "core/paper_example.hpp"
 #include "core/study_runner.hpp"
 #include "gen/taskset_gen.hpp"
@@ -60,13 +60,15 @@ int main(int argc, char** argv) {
   const core::PaperReference ref;
 
   if (study.shard.index == 0) {
+  const analysis::BatchEngine edf_engine(sys, hier::Scheduler::EDF);
+  const analysis::BatchEngine rm_engine(sys, hier::Scheduler::FP);
   std::cout << "Figure 4: region of feasible periods (13-task example)\n\n";
   core::SearchOptions opts;
   opts.p_min = 0.05;
   opts.p_max = 3.5;
   opts.grid_step = step;
-  const auto edf = core::sample_region(sys, hier::Scheduler::EDF, opts);
-  const auto rm = core::sample_region(sys, hier::Scheduler::FP, opts);
+  const auto edf = edf_engine.sample_region(opts);
+  const auto rm = rm_engine.sample_region(opts);
 
   Table curve({"P", "lhs_EDF", "lhs_RM", "feasible@O=0.05(EDF)"});
   for (std::size_t i = 0; i < edf.size(); ++i) {
@@ -79,12 +81,11 @@ int main(int argc, char** argv) {
   csv ? curve.print_csv(std::cout) : curve.print(std::cout);
 
   Table points({"point", "quantity", "measured", "paper"});
-  const double p1 = core::max_feasible_period(sys, hier::Scheduler::EDF, 0.0);
-  const double p2 = core::max_feasible_period(sys, hier::Scheduler::FP, 0.0);
-  const auto o3 = core::max_admissible_overhead(sys, hier::Scheduler::EDF);
-  const auto o4 = core::max_admissible_overhead(sys, hier::Scheduler::FP);
-  const double p5 =
-      core::max_feasible_period(sys, hier::Scheduler::EDF, ref.o_tot);
+  const double p1 = edf_engine.max_feasible_period(0.0);
+  const double p2 = rm_engine.max_feasible_period(0.0);
+  const auto o3 = edf_engine.max_admissible_overhead();
+  const auto o4 = rm_engine.max_admissible_overhead();
+  const double p5 = edf_engine.max_feasible_period(ref.o_tot);
   points.row().cell("1").cell("P_max EDF, O=0").cell(p1, 3).cell(
       ref.p_max_edf_no_overhead, 3);
   points.row().cell("2").cell("P_max RM, O=0").cell(p2, 3).cell(

@@ -21,7 +21,7 @@
 #include "common/math_util.hpp"
 #include "core/mode_system.hpp"
 #include "core/schedule.hpp"
-#include "core/sensitivity.hpp"
+#include "core/integration.hpp"
 #include "hier/min_quantum.hpp"
 #include "hier/sched_test.hpp"
 #include "rt/demand.hpp"

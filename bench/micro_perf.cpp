@@ -14,9 +14,7 @@
 
 #include "core/analysis_engine.hpp"
 #include "core/design.hpp"
-#include "core/integration.hpp"
 #include "core/paper_example.hpp"
-#include "core/sensitivity.hpp"
 #include "gen/taskset_gen.hpp"
 #include "hier/min_quantum.hpp"
 #include "legacy_kernels.hpp"
@@ -38,9 +36,9 @@ const core::ModeTaskSystem& paper_sys() {
 }
 
 core::ModeSchedule paper_schedule() {
-  static const core::Design d =
-      core::solve_design(paper_sys(), hier::Scheduler::EDF, {0.02, 0.02, 0.02},
-                         core::DesignGoal::MaxSlackBandwidth);
+  static const core::Design d = core::solve_design(
+      analysis::BatchEngine(paper_sys(), hier::Scheduler::EDF),
+      {0.02, 0.02, 0.02}, core::DesignGoal::MaxSlackBandwidth);
   return d.schedule;
 }
 
@@ -279,23 +277,20 @@ BENCHMARK(BM_SensitivityReport);
 void BM_SolveDesignG1(benchmark::State& state) {
   const core::Overheads ov{0.02, 0.02, 0.01};
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        core::solve_design(paper_sys(), hier::Scheduler::EDF, ov,
-                           core::DesignGoal::MinOverheadBandwidth));
+    benchmark::DoNotOptimize(core::solve_design(
+        analysis::BatchEngine(paper_sys(), hier::Scheduler::EDF), ov,
+        core::DesignGoal::MinOverheadBandwidth));
   }
 }
 BENCHMARK(BM_SolveDesignG1);
 
 void BM_Simulate(benchmark::State& state) {
-  const core::Design d =
-      core::solve_design(paper_sys(), hier::Scheduler::EDF,
-                         {0.02, 0.02, 0.02},
-                         core::DesignGoal::MaxSlackBandwidth);
+  const core::ModeSchedule schedule = paper_schedule();
   const double horizon = static_cast<double>(state.range(0));
   for (auto _ : state) {
     sim::SimOptions opt;
     opt.horizon = horizon;
-    benchmark::DoNotOptimize(sim::simulate(paper_sys(), d.schedule, opt));
+    benchmark::DoNotOptimize(sim::simulate(paper_sys(), schedule, opt));
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(horizon));
@@ -303,15 +298,12 @@ void BM_Simulate(benchmark::State& state) {
 BENCHMARK(BM_Simulate)->Arg(1000)->Arg(10000);
 
 void BM_SimulateWithFaults(benchmark::State& state) {
-  const core::Design d =
-      core::solve_design(paper_sys(), hier::Scheduler::EDF,
-                         {0.02, 0.02, 0.02},
-                         core::DesignGoal::MaxSlackBandwidth);
+  const core::ModeSchedule schedule = paper_schedule();
   for (auto _ : state) {
     sim::SimOptions opt;
     opt.horizon = 5000.0;
     opt.faults = {0.05, 2.0};
-    benchmark::DoNotOptimize(sim::simulate(paper_sys(), d.schedule, opt));
+    benchmark::DoNotOptimize(sim::simulate(paper_sys(), schedule, opt));
   }
 }
 BENCHMARK(BM_SimulateWithFaults);

@@ -12,6 +12,7 @@
 
 #include "bench_args.hpp"
 #include "common/table.hpp"
+#include "core/analysis_engine.hpp"
 #include "core/design.hpp"
 #include "core/paper_example.hpp"
 #include "sim/simulator.hpp"
@@ -39,7 +40,8 @@ int main(int argc, char** argv) {
   for (const hier::Scheduler alg : {hier::Scheduler::EDF,
                                     hier::Scheduler::FP}) {
     const core::Design d =
-        core::solve_design(sys, alg, ov, core::DesignGoal::MaxSlackBandwidth);
+        core::solve_design(analysis::BatchEngine(sys, alg), ov,
+                           core::DesignGoal::MaxSlackBandwidth);
     for (const double scale : {1.2, 1.0, 0.9, 0.8, 0.6, 0.4}) {
       core::ModeSchedule s = d.schedule;
       s.ft.usable *= scale;

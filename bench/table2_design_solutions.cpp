@@ -9,6 +9,7 @@
 #include <iostream>
 
 #include "common/table.hpp"
+#include "core/analysis_engine.hpp"
 #include "core/design.hpp"
 #include "core/paper_example.hpp"
 
@@ -31,9 +32,9 @@ int main(int argc, char** argv) {
       .cell("-")
       .cell("-");
 
+  const analysis::BatchEngine engine(sys, hier::Scheduler::EDF);
   auto add_design = [&](const char* label, core::DesignGoal goal) {
-    const core::Design d = core::solve_design(sys, hier::Scheduler::EDF, ov,
-                                              goal);
+    const core::Design d = core::solve_design(engine, ov, goal);
     t.row()
         .cell(label)
         .cell(d.schedule.period, 3)

@@ -11,6 +11,7 @@
 // an aggressive fault rate, verifying the safety contract per mode.
 #include <iostream>
 
+#include "core/analysis_engine.hpp"
 #include "core/design.hpp"
 #include "sim/simulator.hpp"
 
@@ -52,10 +53,10 @@ int main() {
             << sys.required_bandwidth(rt::Mode::FS) << ", NF max-channel util "
             << sys.required_bandwidth(rt::Mode::NF) << "\n\n";
 
+  const analysis::BatchEngine engine(sys, hier::Scheduler::EDF);
   for (const auto goal : {core::DesignGoal::MinOverheadBandwidth,
                           core::DesignGoal::MaxSlackBandwidth}) {
-    const core::Design d =
-        core::solve_design(sys, hier::Scheduler::EDF, ov, goal);
+    const core::Design d = core::solve_design(engine, ov, goal);
     std::cout << to_string(goal) << ":\n  " << d.schedule << "\n"
               << "  overhead bandwidth " << d.schedule.overhead_bandwidth()
               << ", slack bandwidth " << d.schedule.slack_bandwidth()
@@ -64,8 +65,8 @@ int main() {
 
   // Stress the flexible design with one transient fault every ~20 time
   // units on average -- far beyond realistic soft-error rates.
-  const core::Design d = core::solve_design(
-      sys, hier::Scheduler::EDF, ov, core::DesignGoal::MaxSlackBandwidth);
+  const core::Design d =
+      core::solve_design(engine, ov, core::DesignGoal::MaxSlackBandwidth);
   sim::SimOptions opt;
   opt.horizon = 50000.0;
   opt.faults = {0.05, 2.0};

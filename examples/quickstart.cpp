@@ -9,6 +9,7 @@
 // Build & run:  cmake --build build && ./build/examples/quickstart
 #include <iostream>
 
+#include "core/analysis_engine.hpp"
 #include "core/design.hpp"
 #include "gen/taskset_gen.hpp"
 #include "sim/simulator.hpp"
@@ -38,8 +39,8 @@ int main() {
   //    maximize the redistributable slack (the paper's goal G2).
   const core::Overheads overheads{0.02, 0.02, 0.02};  // switch-out costs
   const core::Design design =
-      core::solve_design(*sys, hier::Scheduler::EDF, overheads,
-                         core::DesignGoal::MaxSlackBandwidth);
+      core::solve_design(analysis::BatchEngine(*sys, hier::Scheduler::EDF),
+                         overheads, core::DesignGoal::MaxSlackBandwidth);
   std::cout << "solved: " << design.schedule << "\n";
   std::cout << "  FT gets " << design.schedule.allocated_bandwidth(rt::Mode::FT)
             << " of the timeline, FS "

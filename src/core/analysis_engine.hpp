@@ -7,7 +7,6 @@
 #include "core/integration.hpp"
 #include "core/mode_system.hpp"
 #include "core/schedule.hpp"
-#include "core/sensitivity.hpp"
 #include "hier/sched_test.hpp"
 #include "rt/analysis_context.hpp"
 
@@ -27,9 +26,10 @@ namespace flexrt::analysis {
 /// calling thread; parallelism lives one level up, across the entries of a
 /// fleet or the trials of a study (par::parallel_for).
 ///
-/// The free functions in core/integration.hpp and core/sensitivity.hpp are
-/// one-shot conveniences that build a throwaway engine; hold a BatchEngine
-/// when issuing many queries against one system.
+/// This is the single-system API: a caller with one system constructs an
+/// engine and asks it (or core::solve_design(engine, ...)) directly. The
+/// fleet service (svc::AnalysisService) caches engines per entry and adds
+/// the accuracy ladder and the answer memo on top.
 class BatchEngine {
  public:
   /// `dl_opts` controls the QPA bounding/condensation of every partition's
@@ -70,28 +70,38 @@ class BatchEngine {
 
   // --- period-side kernels (Eq. 15) --------------------------------------
 
-  /// max over the mode's channels of minQ(T_k^i, alg, P); FP channels are
-  /// analysed in deadline-monotonic order (== core::mode_min_quantum).
+  /// Per-mode minimum usable quantum: max over the mode's channels of
+  /// minQ(T_k^i, alg, P) (the inner max of Eq. 15). For FP the channels are
+  /// analysed in deadline-monotonic order (== rate-monotonic for implicit
+  /// deadlines, the paper's "RM").
   double mode_min_quantum(rt::Mode mode, double period,
                           bool use_exact_supply = false) const;
 
-  /// lhs(P) = P - sum_k mode_min_quantum(k, P)  (== core::feasibility_margin).
+  /// Left-hand side of the paper's Eq. (15):
+  ///   lhs(P) = P - sum_k max_i minQ(T_k^i, alg, P).
+  /// The period P admits a feasible slot assignment iff lhs(P) >= O_tot.
   double feasibility_margin(double period, bool use_exact_supply = false) const;
 
-  /// Figure-4 series over [p_min, p_max], one sample per grid step.
+  /// Samples lhs(P) over [p_min, p_max] with grid_step (the Figure 4
+  /// series).
   std::vector<core::RegionSample> sample_region(
       const core::SearchOptions& opts = {}) const;
 
-  /// sup { P : lhs(P) >= o_tot }: a downward grid scan from p_max stops at
-  /// the first feasible period, then a bisection refines the boundary.
+  /// Largest feasible period: sup { P : lhs(P) >= o_tot }, refined to
+  /// opts.tolerance. A downward grid scan from p_max stops at the first
+  /// feasible period, then a bisection refines the boundary. Throws
+  /// InfeasibleError when no sampled period qualifies. This is design goal
+  /// G1 (minimum overhead bandwidth O_tot/P).
   double max_feasible_period(double o_tot,
                              const core::SearchOptions& opts = {}) const;
 
-  /// argmax_P lhs(P)  (== core::max_admissible_overhead).
+  /// Maximum admissible total overhead and the period attaining it:
+  /// argmax_P lhs(P) (points 3 and 4 of Figure 4).
   core::OverheadLimit max_admissible_overhead(
       const core::SearchOptions& opts = {}) const;
 
-  /// argmax_P (lhs(P) - o_tot)/P  (== core::max_slack_period).
+  /// Period maximizing the redistributable slack bandwidth
+  /// (lhs(P) - o_tot)/P over the feasible region: design goal G2.
   core::SlackOptimum max_slack_period(double o_tot,
                                       const core::SearchOptions& opts = {}) const;
 
@@ -101,22 +111,32 @@ class BatchEngine {
   bool verify(const core::ModeSchedule& schedule,
               bool use_exact_supply = false) const;
 
-  /// Largest lambda keeping every partition schedulable when the WCETs of
-  /// tasks named `task_name` (every task when empty) scale by lambda. The
-  /// probe scales the cached demand curves in place -- no ModeTaskSystem
-  /// copy, no point re-derivation -- so one bisection step is a pass over
-  /// cached points.
+  /// Sensitivity of a finished design: how much can the workload grow
+  /// before the schedule breaks? The slack row (c) of Table 2 says how
+  /// much *bandwidth* is redistributable; these margins say how much *each
+  /// task* can grow. The schedule is not re-solved: the quanta are fixed
+  /// hardware configuration.
+  ///
+  /// Largest factor lambda such that scaling the WCETs of the tasks named
+  /// `task_name` (every task when empty) by lambda keeps every partition
+  /// schedulable under `schedule`. Found by bisection on lambda in
+  /// [1, lambda_max]; returns 1.0 when the task is already at the edge and
+  /// `lambda_max` when even that scale fits. The probe scales the cached
+  /// demand curves in place -- no ModeTaskSystem copy, no point
+  /// re-derivation -- so one bisection step is a pass over cached points.
   double wcet_scale_margin(const core::ModeSchedule& schedule,
                            const std::string& task_name,
                            double lambda_max = 16.0,
                            double tolerance = 1e-4) const;
 
-  /// Margins for every task (system iteration order), with the lambda=1
-  /// feasibility check hoisted out of the per-task loop.
+  /// Margins for every task of the system, in system iteration order, with
+  /// the lambda=1 feasibility check hoisted out of the per-task loop.
   std::vector<core::TaskMargin> sensitivity_report(
       const core::ModeSchedule& schedule, double lambda_max = 16.0) const;
 
-  /// Margin when every task scales together (task_name = "").
+  /// Largest factor by which EVERY task's WCET can grow simultaneously
+  /// while the schedule stays feasible (task_name = ""): a single-number
+  /// robustness metric for the whole design.
   double global_scale_margin(const core::ModeSchedule& schedule,
                              double lambda_max = 16.0,
                              double tolerance = 1e-4) const;

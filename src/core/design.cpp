@@ -4,27 +4,12 @@
 
 #include "common/error.hpp"
 #include "core/analysis_engine.hpp"
-#include "svc/analysis_service.hpp"
 
 namespace flexrt::core {
 
 const char* to_string(DesignGoal goal) noexcept {
   return goal == DesignGoal::MinOverheadBandwidth ? "min-overhead-bandwidth"
                                                   : "max-slack-bandwidth";
-}
-
-Design solve_design(const ModeTaskSystem& sys, hier::Scheduler alg,
-                    const Overheads& overheads, DesignGoal goal,
-                    const SearchOptions& opts) {
-  // One-shot front over the analysis service: a one-entry fleet, one
-  // SolveRequest at the fixed default accuracy (bit-for-bit the direct
-  // engine path below, parity-tested). The service keeps one engine for
-  // the period search and the three quantum queries.
-  const svc::SolveResult r = svc::AnalysisService(sys).run_one(
-      0, svc::SolveRequest{alg, overheads, goal, opts, {}});
-  if (!r.ok()) throw ModelError(r.error);
-  if (!r.feasible) throw InfeasibleError(r.infeasible);
-  return r.design;
 }
 
 Design solve_design(const analysis::BatchEngine& engine,

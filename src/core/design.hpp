@@ -34,22 +34,15 @@ struct Design {
   double min_quantum_nf = 0.0;
 };
 
-/// Solves the design problem of §3.3/§4: picks the period according to the
-/// goal, then sets every usable quantum to its minimum minQ(T_k, alg, P*)
-/// (Eq. 12-14 tight) and leaves the remaining time as slack. The returned
-/// schedule always passes verify_schedule().
+/// Solves the design problem of §3.3/§4 against `engine` (whose scheduler
+/// decides the analysis): picks the period according to the goal, then
+/// sets every usable quantum to its minimum minQ(T_k, alg, P*) (Eq. 12-14
+/// tight) and leaves the remaining time as slack. The returned schedule
+/// always passes verify_schedule(). A sweep over overheads/goals reuses the
+/// engine's per-partition caches instead of rebuilding them per call.
 ///
 /// Throws InfeasibleError when no period in the search range admits the
 /// requested total overhead.
-Design solve_design(const ModeTaskSystem& sys, hier::Scheduler alg,
-                    const Overheads& overheads, DesignGoal goal,
-                    const SearchOptions& opts = {});
-
-/// Engine-threaded variant: solves against an existing BatchEngine (whose
-/// scheduler decides the analysis), so a sweep over overheads/goals -- the
-/// grid refinement pattern of the sensitivity studies -- reuses one set of
-/// per-partition caches instead of rebuilding them per call. The TaskSystem
-/// front above is a one-shot convenience over a throwaway engine.
 Design solve_design(const analysis::BatchEngine& engine,
                     const Overheads& overheads, DesignGoal goal,
                     const SearchOptions& opts = {});

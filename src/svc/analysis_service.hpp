@@ -15,9 +15,9 @@
 #include "common/rng.hpp"
 #include "core/analysis_engine.hpp"
 #include "core/design.hpp"
+#include "core/integration.hpp"
 #include "core/mode_system.hpp"
 #include "core/schedule.hpp"
-#include "core/sensitivity.hpp"
 #include "core/study_runner.hpp"
 #include "fault/fault_model.hpp"
 #include "hier/sched_test.hpp"
@@ -54,11 +54,10 @@ namespace flexrt::svc {
 /// per-task FP scheduling-point budget (rt::FpPointOptions) -- so the
 /// ladder is scheduler-agnostic.
 ///
-/// The one-system free functions in core/integration.hpp,
-/// core/sensitivity.hpp and core::solve_design(sys, ...) are thin wrappers
-/// over a throwaway one-entry service. BatchEngine remains the per-system
-/// probe engine underneath; the service adds the fleet, the accuracy
-/// ladder, and an engine cache keyed by (system, scheduler, budget) so a
+/// A single system needs no service: construct an analysis::BatchEngine
+/// and ask it directly. BatchEngine is the per-system probe engine
+/// underneath; the service adds the fleet, the accuracy ladder, the answer
+/// memo, and an engine cache keyed by (system, scheduler, budget) so a
 /// request menu (e.g. an overhead sweep) reuses each system's caches.
 
 /// Per-entry wall-time budget of a request. When active, every entry's
@@ -203,7 +202,7 @@ struct ResultBase {
 
 // --- requests -------------------------------------------------------------
 
-/// Solve the §3.3/§4 design problem (== core::solve_design).
+/// Solve the §3.3/§4 design problem (core::solve_design on the engine).
 struct SolveRequest {
   hier::Scheduler alg = hier::Scheduler::EDF;
   core::Overheads overheads{};
@@ -230,11 +229,11 @@ struct MinQuantumRequest {
 struct MinQuantumResult : ResultBase {
   /// minQ per mode, indexed FT, FS, NF (core::kAllModes order).
   std::array<double, 3> mode_quantum{};
-  /// lhs(P) = P - sum of the quanta (== core::feasibility_margin).
+  /// lhs(P) = P - sum of the quanta (BatchEngine::feasibility_margin).
   double margin = 0.0;
 };
 
-/// The Figure-4 curve lhs(P) over a period grid (== core::sample_region).
+/// The Figure-4 curve lhs(P) over a period grid (BatchEngine::sample_region).
 struct RegionSweepRequest {
   hier::Scheduler alg = hier::Scheduler::EDF;
   core::SearchOptions search{};
@@ -245,8 +244,8 @@ struct RegionSweepResult : ResultBase {
   std::vector<core::RegionSample> samples;
 };
 
-/// WCET scale margins of a finished schedule (== core::sensitivity_report /
-/// wcet_scale_margin / global_scale_margin).
+/// WCET scale margins of a finished schedule (BatchEngine's
+/// sensitivity_report / wcet_scale_margin / global_scale_margin).
 struct SensitivityRequest {
   hier::Scheduler alg = hier::Scheduler::EDF;
   core::ModeSchedule schedule{};
@@ -362,11 +361,6 @@ class AnalysisService {
                                                         Rng& rng)>;
 
   AnalysisService() = default;
-  /// A one-entry fleet around `sys`: what the core:: one-shot wrappers
-  /// (integration/sensitivity/solve_design) run their request against.
-  explicit AnalysisService(core::ModeTaskSystem sys) {
-    add_system(std::move(sys));
-  }
   AnalysisService(const AnalysisService&) = delete;
   AnalysisService& operator=(const AnalysisService&) = delete;
 
@@ -471,16 +465,8 @@ class AnalysisService {
   /// (max_admissible_overhead, one-task margins, ...). `max_points` 0
   /// means the scheduler's library default budget (dlSet budget for EDF,
   /// per-task scheduling-point budget for FP). Engines are immutable and
-  /// safe to probe concurrently. The reference stays valid while the
-  /// engine is resident in the bounded cache -- callers that probe across
-  /// many budgets on a shared service should pin via engine_ptr instead.
-  const analysis::BatchEngine& engine(std::size_t i, hier::Scheduler alg,
-                                      std::size_t max_points = 0) const {
-    return *engine_ptr(i, alg, max_points);
-  }
-
-  /// Shared-ownership variant: the engine outlives any cache eviction as
-  /// long as the returned pointer does (what the accuracy ladders hold
+  /// safe to probe concurrently; the returned pointer keeps its engine
+  /// alive across any cache eviction (what the accuracy ladders hold
   /// across a probe).
   std::shared_ptr<const analysis::BatchEngine> engine_ptr(
       std::size_t i, hier::Scheduler alg, std::size_t max_points = 0) const;

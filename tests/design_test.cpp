@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
+#include "core/analysis_engine.hpp"
 #include "core/paper_example.hpp"
 
 namespace flexrt::core {
@@ -13,6 +14,7 @@ using hier::Scheduler;
 class DesignTest : public ::testing::Test {
  protected:
   ModeTaskSystem sys_ = paper_example();
+  analysis::BatchEngine edf_{sys_, Scheduler::EDF};
   Overheads ov_{0.02, 0.02, 0.01};
 };
 
@@ -20,7 +22,8 @@ TEST_F(DesignTest, SolvedSchedulesAlwaysVerify) {
   for (const Scheduler alg : {Scheduler::FP, Scheduler::EDF}) {
     for (const DesignGoal goal : {DesignGoal::MinOverheadBandwidth,
                                   DesignGoal::MaxSlackBandwidth}) {
-      const Design d = solve_design(sys_, alg, ov_, goal);
+      const Design d =
+          solve_design(analysis::BatchEngine(sys_, alg), ov_, goal);
       EXPECT_TRUE(verify_schedule(sys_, d.schedule, alg))
           << to_string(alg) << "/" << to_string(goal);
       // The linear-supply guarantee implies the exact-supply one.
@@ -31,30 +34,26 @@ TEST_F(DesignTest, SolvedSchedulesAlwaysVerify) {
 }
 
 TEST_F(DesignTest, QuantaEqualModeMinima) {
-  const Design d = solve_design(sys_, Scheduler::EDF, ov_,
-                                DesignGoal::MaxSlackBandwidth);
+  const Design d = solve_design(edf_, ov_, DesignGoal::MaxSlackBandwidth);
   const double p = d.schedule.period;
-  EXPECT_NEAR(d.schedule.ft.usable,
-              mode_min_quantum(sys_, rt::Mode::FT, Scheduler::EDF, p), 1e-9);
-  EXPECT_NEAR(d.schedule.fs.usable,
-              mode_min_quantum(sys_, rt::Mode::FS, Scheduler::EDF, p), 1e-9);
-  EXPECT_NEAR(d.schedule.nf.usable,
-              mode_min_quantum(sys_, rt::Mode::NF, Scheduler::EDF, p), 1e-9);
+  EXPECT_NEAR(d.schedule.ft.usable, edf_.mode_min_quantum(rt::Mode::FT, p),
+              1e-9);
+  EXPECT_NEAR(d.schedule.fs.usable, edf_.mode_min_quantum(rt::Mode::FS, p),
+              1e-9);
+  EXPECT_NEAR(d.schedule.nf.usable, edf_.mode_min_quantum(rt::Mode::NF, p),
+              1e-9);
 }
 
 TEST_F(DesignTest, OverheadsCarriedIntoSlots) {
-  const Design d = solve_design(sys_, Scheduler::EDF, ov_,
-                                DesignGoal::MinOverheadBandwidth);
+  const Design d = solve_design(edf_, ov_, DesignGoal::MinOverheadBandwidth);
   EXPECT_DOUBLE_EQ(d.schedule.ft.overhead, ov_.ft);
   EXPECT_DOUBLE_EQ(d.schedule.fs.overhead, ov_.fs);
   EXPECT_DOUBLE_EQ(d.schedule.nf.overhead, ov_.nf);
 }
 
 TEST_F(DesignTest, MinOverheadGoalMinimizesOverheadBandwidth) {
-  const Design a = solve_design(sys_, Scheduler::EDF, ov_,
-                                DesignGoal::MinOverheadBandwidth);
-  const Design b = solve_design(sys_, Scheduler::EDF, ov_,
-                                DesignGoal::MaxSlackBandwidth);
+  const Design a = solve_design(edf_, ov_, DesignGoal::MinOverheadBandwidth);
+  const Design b = solve_design(edf_, ov_, DesignGoal::MaxSlackBandwidth);
   EXPECT_LE(a.schedule.overhead_bandwidth(),
             b.schedule.overhead_bandwidth() + 1e-9);
   EXPECT_GE(b.schedule.slack_bandwidth(),
@@ -62,14 +61,13 @@ TEST_F(DesignTest, MinOverheadGoalMinimizesOverheadBandwidth) {
 }
 
 TEST_F(DesignTest, NegativeOverheadRejected) {
-  EXPECT_THROW(solve_design(sys_, Scheduler::EDF, {-0.1, 0, 0},
-                            DesignGoal::MinOverheadBandwidth),
-               ModelError);
+  EXPECT_THROW(
+      solve_design(edf_, {-0.1, 0, 0}, DesignGoal::MinOverheadBandwidth),
+      ModelError);
 }
 
 TEST_F(DesignTest, DistributeSlackConsumesSlackAndStaysFeasible) {
-  const Design d = solve_design(sys_, Scheduler::EDF, ov_,
-                                DesignGoal::MaxSlackBandwidth);
+  const Design d = solve_design(edf_, ov_, DesignGoal::MaxSlackBandwidth);
   ASSERT_GT(d.schedule.slack(), 0.01);
   const ModeSchedule grown = distribute_slack(d);
   EXPECT_NEAR(grown.slack(), 0.0, 1e-9);

@@ -5,8 +5,8 @@
 #include <cmath>
 
 #include "common/error.hpp"
+#include "core/analysis_engine.hpp"
 #include "core/design.hpp"
-#include "core/integration.hpp"
 #include "core/paper_example.hpp"
 #include "hier/min_quantum.hpp"
 #include "rt/demand.hpp"
@@ -62,7 +62,8 @@ TEST(EdgeCases, MinQuantumDominatedByShortDeadlineTask) {
 TEST(EdgeCases, SolverWithZeroOverheadHitsRegionBoundary) {
   const core::ModeTaskSystem sys = core::paper_example();
   const core::Design d =
-      core::solve_design(sys, Scheduler::EDF, {0.0, 0.0, 0.0},
+      core::solve_design(analysis::BatchEngine(sys, Scheduler::EDF),
+                         {0.0, 0.0, 0.0},
                          core::DesignGoal::MinOverheadBandwidth);
   EXPECT_NEAR(d.schedule.period, 3.177, 2e-3);
   EXPECT_NEAR(d.schedule.slack(), 0.0, 1e-3);
@@ -114,11 +115,11 @@ TEST(EdgeCases, FeasibilityMarginNegativeForOverloadedSystem) {
   rt::TaskSet fs{make_task("s", 4.5, 10, Mode::FS)};
   rt::TaskSet nf{make_task("n", 4.5, 10, Mode::NF)};
   core::ModeTaskSystem sys({ft}, {fs}, {nf});
+  const analysis::BatchEngine engine(sys, Scheduler::EDF);
   for (const double p : {0.5, 1.0, 2.0, 5.0}) {
-    EXPECT_LT(core::feasibility_margin(sys, Scheduler::EDF, p), 0.0) << p;
+    EXPECT_LT(engine.feasibility_margin(p), 0.0) << p;
   }
-  EXPECT_THROW(core::max_feasible_period(sys, Scheduler::EDF, 0.0),
-               InfeasibleError);
+  EXPECT_THROW(engine.max_feasible_period(0.0), InfeasibleError);
 }
 
 TEST(EdgeCases, OverheadOnlySlotsConsumeWithoutSupplying) {

@@ -4,9 +4,9 @@
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
+#include "core/analysis_engine.hpp"
 #include "core/design.hpp"
 #include "core/general_frame.hpp"
-#include "core/sensitivity.hpp"
 #include "hier/response_time.hpp"
 #include "io/task_io.hpp"
 #include "rt/priority.hpp"
@@ -30,7 +30,8 @@ TEST(EndToEnd, FileToDesignToSimulation) {
   const io::ParsedSystem parsed =
       io::parse_mode_task_system_string(kMixedWorkload);
   const core::Design d =
-      core::solve_design(parsed.system, Scheduler::EDF, {0.02, 0.02, 0.021},
+      core::solve_design(analysis::BatchEngine(parsed.system, Scheduler::EDF),
+                         {0.02, 0.02, 0.021},
                          core::DesignGoal::MinOverheadBandwidth);
   EXPECT_TRUE(core::verify_schedule(parsed.system, d.schedule,
                                     Scheduler::EDF));
@@ -72,13 +73,12 @@ TEST(EndToEnd, SensitivityMarginSurvivesSimulation) {
   // still simulate miss-free under the same (slack-distributed) schedule.
   const io::ParsedSystem parsed =
       io::parse_mode_task_system_string(kMixedWorkload);
-  const core::Design d =
-      core::solve_design(parsed.system, Scheduler::EDF, {0.02, 0.02, 0.02},
-                         core::DesignGoal::MaxSlackBandwidth);
+  const analysis::BatchEngine engine(parsed.system, Scheduler::EDF);
+  const core::Design d = core::solve_design(
+      engine, {0.02, 0.02, 0.02}, core::DesignGoal::MaxSlackBandwidth);
   const core::ModeSchedule schedule = core::distribute_slack(d);
 
-  const double margin = core::wcet_scale_margin(parsed.system, schedule,
-                                                Scheduler::EDF, "sensorA");
+  const double margin = engine.wcet_scale_margin(schedule, "sensorA");
   ASSERT_GT(margin, 1.0);
   const double scale = 1.0 + (margin - 1.0) * 0.9;
   std::string grown_file = kMixedWorkload;
@@ -101,7 +101,8 @@ TEST(EndToEnd, ResponseBoundsHoldUnderSporadicArrivals) {
   const io::ParsedSystem parsed =
       io::parse_mode_task_system_string(kMixedWorkload);
   const core::Design d =
-      core::solve_design(parsed.system, Scheduler::FP, {0.02, 0.02, 0.021},
+      core::solve_design(analysis::BatchEngine(parsed.system, Scheduler::FP),
+                         {0.02, 0.02, 0.021},
                          core::DesignGoal::MinOverheadBandwidth);
   sim::SimOptions opt;
   opt.horizon = 4000.0;
@@ -135,8 +136,8 @@ TEST(EndToEnd, ModesWithoutTasksAreHandledThroughout) {
       "a 1 8 FS\n"
       "b 1 10 FS\n");
   const core::Design d =
-      core::solve_design(parsed.system, Scheduler::EDF, {0.0, 0.01, 0.0},
-                         core::DesignGoal::MaxSlackBandwidth);
+      core::solve_design(analysis::BatchEngine(parsed.system, Scheduler::EDF),
+                         {0.0, 0.01, 0.0}, core::DesignGoal::MaxSlackBandwidth);
   EXPECT_DOUBLE_EQ(d.schedule.ft.usable, 0.0);
   EXPECT_DOUBLE_EQ(d.schedule.nf.usable, 0.0);
   EXPECT_TRUE(core::verify_schedule(parsed.system, d.schedule,

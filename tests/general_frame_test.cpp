@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
+#include "core/analysis_engine.hpp"
 #include "core/design.hpp"
 #include "core/paper_example.hpp"
 #include "sim/simulator.hpp"
@@ -73,7 +74,8 @@ TEST(Interleave, SplitsBudgetsAndRepeatsOverheads) {
 TEST(Interleave, VerifiesOnPaperSystemWhenSlackAllows) {
   const ModeTaskSystem sys = paper_example();
   // A comfortable design with plenty of slack survives doubling overheads.
-  const Design d = solve_design(sys, Scheduler::EDF, {0.005, 0.005, 0.005},
+  const Design d = solve_design(analysis::BatchEngine(sys, Scheduler::EDF),
+                                {0.005, 0.005, 0.005},
                                 DesignGoal::MaxSlackBandwidth);
   const GeneralFrame doubled = interleave(d.schedule, 2);
   EXPECT_TRUE(verify_frame(sys, doubled, Scheduler::EDF));
@@ -81,7 +83,8 @@ TEST(Interleave, VerifiesOnPaperSystemWhenSlackAllows) {
 
 TEST(VerifyFrame, SingleSlotAgreesWithVerifySchedule) {
   const ModeTaskSystem sys = paper_example();
-  const Design d = solve_design(sys, Scheduler::EDF, {0.02, 0.02, 0.02},
+  const Design d = solve_design(analysis::BatchEngine(sys, Scheduler::EDF),
+                                {0.02, 0.02, 0.02},
                                 DesignGoal::MaxSlackBandwidth);
   const GeneralFrame f = GeneralFrame::from_schedule(d.schedule);
   // The multi-slot verifier uses the exact supply, which dominates the
@@ -102,7 +105,9 @@ TEST(SolveInterleaved, FindsFeasibleFrameAtLargePeriod) {
   // into 3 visits shrinks the delays enough to recover feasibility.
   const ModeTaskSystem sys = paper_example();
   const double period = 6.0;
-  EXPECT_LT(feasibility_margin(sys, Scheduler::EDF, period), 0.015);
+  EXPECT_LT(
+      analysis::BatchEngine(sys, Scheduler::EDF).feasibility_margin(period),
+      0.015);
   const GeneralFrame f =
       solve_interleaved(sys, Scheduler::EDF, {0.005, 0.005, 0.005}, period, 3);
   EXPECT_TRUE(verify_frame(sys, f, Scheduler::EDF));

@@ -19,6 +19,8 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "core/analysis_engine.hpp"
+#include "core/design.hpp"
 #include "core/paper_example.hpp"
 #include "core/study_runner.hpp"
 #include "gen/taskset_gen.hpp"
@@ -177,6 +179,21 @@ TEST_F(MemoCacheTest, StatsCountMissThenInsertThenHit) {
   EXPECT_EQ(st.hits, 1u);
   EXPECT_EQ(st.misses, 1u);
   EXPECT_EQ(st.insertions, 1u);
+}
+
+TEST_F(MemoCacheTest, SingleSystemEngineCallsLeaveTheMemoAlone) {
+  // The single-system API sits below svc: asking a BatchEngine (or
+  // core::solve_design over one) neither reads nor fills the memo.
+  const analysis::BatchEngine engine(core::paper_example(), Scheduler::EDF);
+  const core::Design d = core::solve_design(
+      engine, {0.02, 0.02, 0.02}, core::DesignGoal::MaxSlackBandwidth);
+  (void)engine.feasibility_margin(1.0);
+  (void)engine.max_admissible_overhead();
+  (void)engine.sensitivity_report(d.schedule);
+  const MemoStats st = global_memo().stats();
+  EXPECT_EQ(st.hits, 0u);
+  EXPECT_EQ(st.misses, 0u);
+  EXPECT_EQ(st.entries, 0u);
 }
 
 TEST_F(MemoCacheTest, HitCarriesTheConsumersIdentityNotTheProducers) {

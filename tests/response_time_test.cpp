@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
+#include "core/analysis_engine.hpp"
 #include "core/design.hpp"
 #include "core/paper_example.hpp"
 #include "rt/priority.hpp"
@@ -87,7 +88,8 @@ TEST(FpResponseTime, BoundsSimulatedResponseOnPaperSystem) {
   // time, task by task (FP, Table-1 system under a solved design).
   const core::ModeTaskSystem sys = core::paper_example();
   const core::Design d =
-      core::solve_design(sys, Scheduler::FP, {0.02, 0.02, 0.021},
+      core::solve_design(analysis::BatchEngine(sys, Scheduler::FP),
+                         {0.02, 0.02, 0.021},
                          core::DesignGoal::MaxSlackBandwidth);
   sim::SimOptions opt;
   opt.horizon = 3000.0;

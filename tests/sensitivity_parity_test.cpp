@@ -7,15 +7,14 @@
 #include "core/analysis_engine.hpp"
 #include "core/design.hpp"
 #include "core/paper_example.hpp"
-#include "core/sensitivity.hpp"
 #include "legacy_kernels.hpp"
 
 namespace flexrt::core {
 namespace {
 
 ModeSchedule solved_schedule(hier::Scheduler alg) {
-  return solve_design(paper_example(), alg, {0.02, 0.02, 0.02},
-                      DesignGoal::MaxSlackBandwidth)
+  return solve_design(analysis::BatchEngine(paper_example(), alg),
+                      {0.02, 0.02, 0.02}, DesignGoal::MaxSlackBandwidth)
       .schedule;
 }
 
@@ -31,7 +30,8 @@ TEST_P(SensitivityParity, ReportMatchesDeepCopyReference) {
   const ModeTaskSystem sys = paper_example();
   const ModeSchedule schedule = solved_schedule(alg);
 
-  const std::vector<TaskMargin> fast = sensitivity_report(sys, schedule, alg);
+  const std::vector<TaskMargin> fast =
+      analysis::BatchEngine(sys, alg).sensitivity_report(schedule);
   const std::vector<TaskMargin> ref =
       legacy::sensitivity_report(sys, schedule, alg);
 
@@ -50,10 +50,11 @@ TEST_P(SensitivityParity, SingleTaskMarginMatchesDeepCopyReference) {
   const hier::Scheduler alg = GetParam();
   const ModeTaskSystem sys = paper_example();
   const ModeSchedule schedule = solved_schedule(alg);
+  const analysis::BatchEngine engine(sys, alg);
   for (const rt::Mode mode : kAllModes) {
     for (const rt::TaskSet& ts : sys.partitions(mode)) {
       for (const rt::Task& t : ts) {
-        EXPECT_NEAR(wcet_scale_margin(sys, schedule, alg, t.name),
+        EXPECT_NEAR(engine.wcet_scale_margin(schedule, t.name),
                     legacy::bisect_margin(sys, schedule, alg, t.name, 16.0,
                                           1e-4),
                     kMarginTol)
@@ -67,7 +68,7 @@ TEST_P(SensitivityParity, GlobalMarginMatchesDeepCopyReference) {
   const hier::Scheduler alg = GetParam();
   const ModeTaskSystem sys = paper_example();
   const ModeSchedule schedule = solved_schedule(alg);
-  EXPECT_NEAR(global_scale_margin(sys, schedule, alg),
+  EXPECT_NEAR(analysis::BatchEngine(sys, alg).global_scale_margin(schedule),
               legacy::bisect_margin(sys, schedule, alg, "", 16.0, 1e-4),
               kMarginTol);
 }
@@ -95,22 +96,6 @@ TEST(BatchEngine, VerifyMatchesVerifySchedule) {
     schedule.nf.usable = 0.0;
     EXPECT_EQ(engine.verify(schedule), verify_schedule(sys, schedule, alg));
   }
-}
-
-TEST(BatchEngine, PeriodKernelsMatchOneShotFronts) {
-  const ModeTaskSystem sys = paper_example();
-  const analysis::BatchEngine engine(sys, hier::Scheduler::EDF);
-  for (const double p : {0.8, 1.5, 2.0, 3.0}) {
-    EXPECT_DOUBLE_EQ(engine.feasibility_margin(p),
-                     feasibility_margin(sys, hier::Scheduler::EDF, p));
-    for (const rt::Mode mode : kAllModes) {
-      EXPECT_DOUBLE_EQ(
-          engine.mode_min_quantum(mode, p),
-          mode_min_quantum(sys, mode, hier::Scheduler::EDF, p));
-    }
-  }
-  EXPECT_DOUBLE_EQ(engine.max_feasible_period(0.1),
-                   max_feasible_period(sys, hier::Scheduler::EDF, 0.1));
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 // never corrupted, and only NF tasks can produce silent data corruption.
 #include <gtest/gtest.h>
 
+#include "core/analysis_engine.hpp"
 #include "core/design.hpp"
 #include "core/paper_example.hpp"
 #include "sim/simulator.hpp"
@@ -15,9 +16,10 @@ using hier::Scheduler;
 class SimFault : public ::testing::Test {
  protected:
   core::ModeTaskSystem sys_ = core::paper_example();
+  analysis::BatchEngine edf_{sys_, Scheduler::EDF};
 
   core::ModeSchedule design() {
-    return core::solve_design(sys_, Scheduler::EDF, {0.02, 0.02, 0.02},
+    return core::solve_design(edf_, {0.02, 0.02, 0.02},
                               core::DesignGoal::MaxSlackBandwidth)
         .schedule;
   }

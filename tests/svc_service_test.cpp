@@ -15,7 +15,6 @@
 #include "core/design.hpp"
 #include "core/integration.hpp"
 #include "core/paper_example.hpp"
-#include "core/sensitivity.hpp"
 #include "gen/taskset_gen.hpp"
 #include "svc/jsonl.hpp"
 
@@ -45,7 +44,8 @@ TEST_F(ServiceOnPaperExample, SolveMatchesSolveDesignBitForBit) {
                                                              {}});
       ASSERT_TRUE(r.ok()) << r.error;
       ASSERT_TRUE(r.feasible);
-      const core::Design d = core::solve_design(sys_, alg, ov, goal);
+      const core::Design d =
+          core::solve_design(analysis::BatchEngine(sys_, alg), ov, goal);
       EXPECT_EQ(r.design.schedule.period, d.schedule.period);
       EXPECT_EQ(r.design.schedule.ft.usable, d.schedule.ft.usable);
       EXPECT_EQ(r.design.schedule.fs.usable, d.schedule.fs.usable);
@@ -67,8 +67,6 @@ TEST_F(ServiceOnPaperExample, MinQuantumMatchesEngineBitForBit) {
                   engine.mode_min_quantum(core::kAllModes[m], period));
       }
       EXPECT_EQ(r.margin, engine.feasibility_margin(period));
-      // ... and the core:: wrapper rides the same path.
-      EXPECT_EQ(r.margin, core::feasibility_margin(sys_, alg, period));
     }
   }
 }
@@ -91,15 +89,14 @@ TEST_F(ServiceOnPaperExample, RegionSweepMatchesEngineBitForBit) {
 }
 
 TEST_F(ServiceOnPaperExample, SensitivityMatchesEngineBitForBit) {
+  const analysis::BatchEngine engine(sys_, Scheduler::EDF);
   const core::Design d = core::solve_design(
-      sys_, Scheduler::EDF, {0.01, 0.01, 0.01},
-      core::DesignGoal::MaxSlackBandwidth);
+      engine, {0.01, 0.01, 0.01}, core::DesignGoal::MaxSlackBandwidth);
   SensitivityRequest req;
   req.alg = Scheduler::EDF;
   req.schedule = d.schedule;
   const SensitivityResult r = service_.run_one(0, req);
   ASSERT_TRUE(r.ok());
-  const analysis::BatchEngine engine(sys_, Scheduler::EDF);
   const std::vector<core::TaskMargin> want =
       engine.sensitivity_report(d.schedule);
   ASSERT_EQ(r.margins.size(), want.size());
@@ -119,9 +116,9 @@ TEST_F(ServiceOnPaperExample, SensitivityMatchesEngineBitForBit) {
 }
 
 TEST_F(ServiceOnPaperExample, VerifyRoundTrip) {
-  const core::Design d = core::solve_design(
-      sys_, Scheduler::EDF, {0.0, 0.0, 0.0},
-      core::DesignGoal::MaxSlackBandwidth);
+  const core::Design d =
+      core::solve_design(analysis::BatchEngine(sys_, Scheduler::EDF),
+                         {0.0, 0.0, 0.0}, core::DesignGoal::MaxSlackBandwidth);
   const VerifyResult good =
       service_.run_one(0, VerifyRequest{Scheduler::EDF, d.schedule, false, {}});
   ASSERT_TRUE(good.ok());
@@ -493,9 +490,12 @@ TEST(ServiceFleet, PackFailureBecomesAnswerlessEntry) {
 }
 
 TEST_F(ServiceOnPaperExample, EngineCacheReturnsTheSameEngine) {
-  const analysis::BatchEngine* a = &service_.engine(0, Scheduler::EDF);
-  const analysis::BatchEngine* b = &service_.engine(0, Scheduler::EDF);
-  const analysis::BatchEngine* c = &service_.engine(0, Scheduler::EDF, 1u << 8);
+  const analysis::BatchEngine* a =
+      service_.engine_ptr(0, Scheduler::EDF).get();
+  const analysis::BatchEngine* b =
+      service_.engine_ptr(0, Scheduler::EDF).get();
+  const analysis::BatchEngine* c =
+      service_.engine_ptr(0, Scheduler::EDF, 1u << 8).get();
   EXPECT_EQ(a, b);
   EXPECT_NE(a, c);
   EXPECT_EQ(a->dl_options().max_points, rt::kDefaultDlPointBudget);

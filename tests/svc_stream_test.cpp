@@ -125,8 +125,9 @@ TEST(SvcStream, EveryRequestTypeStreamsInEntryOrder) {
       order, service.size());
 
   const core::Design d =
-      core::solve_design(core::paper_example(), Scheduler::EDF, {0.0, 0.0, 0.0},
-                         core::DesignGoal::MaxSlackBandwidth);
+      core::solve_design(analysis::BatchEngine(core::paper_example(),
+                                               Scheduler::EDF),
+                         {0.0, 0.0, 0.0}, core::DesignGoal::MaxSlackBandwidth);
 
   order.clear();
   SensitivityRequest sreq;

@@ -5,6 +5,8 @@
 // output.
 //
 // Usage: bench_report [output.json]   (default: BENCH_micro.json)
+// The scratch files of the journal and daemon rows are written next to the
+// output path and removed afterwards.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -17,7 +19,6 @@
 #include "common/parallel.hpp"
 #include "core/analysis_engine.hpp"
 #include "core/design.hpp"
-#include "core/integration.hpp"
 #include "core/paper_example.hpp"
 #include "core/study_runner.hpp"
 #include "gen/taskset_gen.hpp"
@@ -64,15 +65,40 @@ double time_ns(const std::function<double()>& fn) {
   }
 }
 
+/// Median of a handful of repeated timings (sorts its copy).
+double median(std::vector<double> xs) {
+  std::sort(xs.begin(), xs.end());
+  return xs[xs.size() / 2];
+}
+
 struct Row {
   std::string name;
   double legacy_ns = 0.0;
   double engine_ns = 0.0;
 };
 
+constexpr const char* kUsage =
+    "usage: bench_report [output.json]\n"
+    "  Times the analysis kernels against the frozen legacy kernels and\n"
+    "  writes the JSON report to output.json (default BENCH_micro.json).\n";
+
 }  // namespace
 
 int main(int argc, char** argv) {
+  // Flags are refused before anything touches the file system: a flag
+  // taken as the output path would scatter <flag>.* scratch files.
+  for (int a = 1; a < argc; ++a) {
+    const std::string arg = argv[a];
+    if (arg == "--help" || arg == "-h") {
+      std::fputs(kUsage, stdout);
+      return 0;
+    }
+    if (arg[0] == '-') {
+      std::fprintf(stderr, "bench_report: unknown option '%s'\n%s",
+                   arg.c_str(), kUsage);
+      return 2;
+    }
+  }
   const std::string out_path = argc > 1 ? argv[1] : "BENCH_micro.json";
 
   // Every row below except memo_hit measures compute, not lookups; the
@@ -81,11 +107,11 @@ int main(int argc, char** argv) {
   svc::global_memo().set_enabled(false);
 
   const core::ModeTaskSystem& sys = core::paper_example();
+  const analysis::BatchEngine engine(sys, hier::Scheduler::EDF);
   const core::ModeSchedule schedule =
-      core::solve_design(sys, hier::Scheduler::EDF, {0.02, 0.02, 0.02},
+      core::solve_design(engine, {0.02, 0.02, 0.02},
                          core::DesignGoal::MaxSlackBandwidth)
           .schedule;
-  const analysis::BatchEngine engine(sys, hier::Scheduler::EDF);
 
   Rng rng(1246);  // matches micro_perf's sized_set(12)
   gen::GenParams gp;
@@ -420,29 +446,58 @@ int main(int argc, char** argv) {
   }
 
   // --- content-addressed answer memo: cold fleet vs a warm repeat --------
-  // Cold = first full 256-entry run (analyses execute and their answers are
-  // stored under the canonical content hash). Warm = the identical request
-  // repeated: every entry resolves by memo lookup instead of an adaptive
-  // ladder. The wall-free JSONL renderings of both runs must be
-  // byte-identical (cache_hit only ever renders next to wall_ms), which is
-  // what bytes_identical certifies.
+  // Cold = a serial run_one loop over a fresh 256-entry fleet with an empty
+  // memo (analyses execute and their answers are stored under the canonical
+  // content hash). Warm = the same loop repeated: every entry resolves by
+  // memo lookup instead of an adaptive ladder. Both sides run on this
+  // thread, so the pool width cancels out of the ratio; each is the median
+  // of kMemoRepeats runs. The wall-free JSONL renderings of a cold and a
+  // warm fleet run() must be byte-identical (cache_hit only ever renders
+  // next to wall_ms), which is what bytes_identical certifies.
   std::size_t memo_entries = 0;
   double memo_cold_ms = 0.0, memo_warm_ms = 0.0;
   std::size_t memo_hits = 0;
   bool memo_bytes_identical = false;
   {
+    constexpr int kMemoRepeats = 5;
     svc::global_memo().set_enabled(true);
-    svc::global_memo().clear();
-    svc::AnalysisService service;
     core::StudyOptions study;
     study.trials = 256;
-    service.add_fleet(study,
-                      [](std::size_t, Rng& fleet_rng) { return gen::study_system(fleet_rng); });
-    memo_entries = service.size();
+    const auto add_fleet = [&](svc::AnalysisService& s) {
+      s.add_fleet(study, [](std::size_t, Rng& fleet_rng) {
+        return gen::study_system(fleet_rng);
+      });
+    };
     // An adaptive ladder is the realistic cold cost (several budget
     // rungs per entry); the warm lookup is the same either way.
     const svc::MinQuantumRequest req{hier::Scheduler::EDF, 1.0, false,
                                      svc::AccuracyPolicy::adaptive(1e-6)};
+    const auto serial_ms = [&](const svc::AnalysisService& s) {
+      double acc = 0.0;
+      const auto t0 = Clock::now();
+      for (std::size_t i = 0; i < s.size(); ++i) {
+        acc += s.run_one(i, req).margin;
+      }
+      const auto t1 = Clock::now();
+      g_sink = acc;
+      return std::chrono::duration<double, std::milli>(t1 - t0).count();
+    };
+    std::vector<double> cold_samples, warm_samples;
+    for (int rep = 0; rep < kMemoRepeats; ++rep) {
+      svc::AnalysisService fresh;  // no cached engines either
+      add_fleet(fresh);
+      svc::global_memo().clear();
+      cold_samples.push_back(serial_ms(fresh));
+    }
+    svc::AnalysisService service;
+    add_fleet(service);
+    memo_entries = service.size();
+    for (int rep = 0; rep < kMemoRepeats; ++rep) {
+      warm_samples.push_back(serial_ms(service));
+    }
+    memo_cold_ms = median(cold_samples);
+    memo_warm_ms = median(warm_samples);
+
     const auto render = [&](const std::vector<svc::MinQuantumResult>& rs) {
       std::string text;
       for (const svc::MinQuantumResult& r : rs) {
@@ -451,13 +506,9 @@ int main(int argc, char** argv) {
       }
       return text;
     };
-    const auto t0 = Clock::now();
+    svc::global_memo().clear();
     const auto cold = service.run(req);
-    const auto t1 = Clock::now();
     const auto warm = service.run(req);
-    const auto t2 = Clock::now();
-    memo_cold_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
-    memo_warm_ms = std::chrono::duration<double, std::milli>(t2 - t1).count();
     memo_hits = static_cast<std::size_t>(svc::global_memo().stats().hits);
     memo_bytes_identical = render(cold) == render(warm);
     svc::global_memo().set_enabled(false);

@@ -31,6 +31,13 @@ generic bug patterns; this script enforces the invariants that are about
                   atomic .store() statements (POSIX XSH 2.4.3
                   async-signal-safety; see src/common/signals.cpp).
 
+  layering        The analysis layers (src/core, src/rt, src/hier) include
+                  nothing from the service or network layers (svc/, net/).
+                  Those sit on top: svc caches BatchEngines and net serves
+                  svc, so an include pointing down-to-up would let a
+                  single-system analysis read or fill the process-wide
+                  memo and engine cache.
+
 Suppress a finding with a justification comment on the same line or the
 line above:  // lint: allow(<rule>) <why>
 
@@ -50,6 +57,9 @@ REPO = pathlib.Path(__file__).resolve().parent.parent
 RAW_MUTEX_SANCTIONED = {"src/common/annotations.hpp"}
 JSONL_SANCTIONED = {"src/svc/jsonl.hpp", "src/svc/jsonl.cpp", "src/svc/rows.cpp"}
 WALL_PAIR_SANCTIONED = {"src/svc/study_report.cpp"}
+# Directories whose files may not include the layers listed after them.
+LOWER_LAYERS = ("src/core/", "src/rt/", "src/hier/")
+UPPER_INCLUDE = re.compile(r'^\s*#\s*include\s*"(?P<path>(?:svc|net)/[^"]*)"')
 
 RAW_MUTEX_TOKENS = re.compile(
     r"\bstd::(?:recursive_|timed_|recursive_timed_|shared_)?mutex\b"
@@ -230,8 +240,24 @@ def check_signal_handler(path, raw, code, findings):
                 "safety; see src/common/signals.cpp)")
 
 
+def check_layering(path, raw, code, findings):
+    if not rel_key(path).startswith(LOWER_LAYERS):
+        return
+    for idx, line in enumerate(raw):
+        m = UPPER_INCLUDE.match(line)
+        if not m:
+            continue
+        if allowed(raw, idx, "layering"):
+            continue
+        findings.add(
+            path, idx + 1, "layering",
+            f'#include "{m.group("path")}" in an analysis layer -- src/core, '
+            "src/rt and src/hier may not depend on svc/ or net/; move the "
+            "caller up a layer or the shared code down")
+
+
 CHECKS = [check_raw_mutex, check_jsonl_helpers, check_wall_pairing,
-          check_signal_handler]
+          check_signal_handler, check_layering]
 EXTENSIONS = {".cpp", ".hpp", ".cc", ".h"}
 
 
